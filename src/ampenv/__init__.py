@@ -14,7 +14,6 @@ from .bench import (
     ComparisonReport,
     MethodReport,
     SyntheticSpec,
-    benchmark_backends,
     compare_methods,
     generate,
     measure_runtime_ms,
@@ -55,7 +54,6 @@ __all__ = [
     "Signal",
     "SyntheticSpec",
     "WavFormatError",
-    "benchmark_backends",
     "bunch_max",
     "butterworth_lowpass",
     "chunked_envelope_stream",

@@ -2,7 +2,8 @@
 
 Reads uncompressed little-endian PCM (16/24/32-bit) and 32-bit IEEE float,
 mono or multichannel. Integer samples are normalized to [-1, 1] by
-2^(bits-1) on read; float samples are kept as-is. Unknown chunks are
+2^(bits-1) on read; float samples are kept as-is and must be finite (a
+NaN or infinity raises WavFormatError). Unknown chunks are
 skipped (word-aligned), and `fmt ` must appear before `data`. Writing
 supports mono 16-bit PCM and 32-bit float.
 """
@@ -81,11 +82,13 @@ def _parse_fmt(buf: bytes, offset: int, size: int, path) -> tuple[int, int, int,
     return tag, channels, rate, bits
 
 
-def _decode(raw: bytes, tag: int, channels: int, rate: int, bits: int) -> AudioFile:
+def _decode(raw: bytes, tag: int, channels: int, rate: int, bits: int, path) -> AudioFile:
     frame = (bits // 8) * channels
     raw = raw[: (len(raw) // frame) * frame]  # drop any partial trailing frame
     if tag == _IEEE_FLOAT:
         flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        if not np.isfinite(flat).all():
+            raise WavFormatError("non-finite sample (NaN or inf) in float data: %s" % path)
         source = "float32"
     elif bits == 16:
         flat = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
@@ -128,7 +131,7 @@ def read_wav(path) -> AudioFile:
                     "truncated file: data chunk claims %d bytes, %d available: %s"
                     % (size, len(data) - body, path)
                 )
-            return _decode(data[body : body + size], *fmt)
+            return _decode(data[body : body + size], *fmt, path)
         pos = body + size + (size & 1)  # chunks are word-aligned
     raise WavFormatError("not a WAV file: no data chunk: %s" % path)
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import kernels
 from .envelopes import (
     EnvelopeParams,
+    EnvelopeResult,
     envelope_follower,
     envelope_hilbert,
     envelope_rms,
@@ -25,8 +26,6 @@ from .envelopes import (
 from .signals import Signal
 
 SYNTH_KINDS = ("am_tone", "multi_carrier_am", "chirp_am", "noise_burst")
-
-METHODS = ("three_step", "follower", "rms", "hilbert")
 
 
 @dataclass(frozen=True)
@@ -160,26 +159,39 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _bind_method(method: str, params, s: Signal):
-    """Resolve a (method, params) config into a zero-arg callable and a label."""
-    if method == "three_step":
-        p = params if isinstance(params, EnvelopeParams) else EnvelopeParams(**(params or {}))
-        label = "N=%d fc=%gHz order=%d" % (p.bunch_size, p.cutoff_hz, p.filter_order)
-        return (lambda: three_step_envelope(s, p)), label
-    if method == "follower":
-        p = dict(params or {})
-        cutoff = float(p.get("cutoff_hz", 150.0))
-        order = int(p.get("filter_order", 4))
-        label = "fc=%gHz order=%d" % (cutoff, order)
-        return (lambda: envelope_follower(s, cutoff, order)), label
-    if method == "rms":
-        p = dict(params or {})
-        window = int(p.get("window_samples", 50))
-        label = "window=%d" % window
-        return (lambda: envelope_rms(s, window)), label
-    if method == "hilbert":
-        return (lambda: envelope_hilbert(s)), "-"
-    raise ValueError("unknown method: %r" % (method,))
+def _three_step(s: Signal, config) -> EnvelopeResult:
+    p = config if isinstance(config, EnvelopeParams) else EnvelopeParams(**config)
+    return three_step_envelope(s, p)
+
+
+def _follower(s: Signal, config: dict) -> EnvelopeResult:
+    kwargs = dict(config)
+    if "filter_order" in kwargs:
+        kwargs["order"] = kwargs.pop("filter_order")
+    return envelope_follower(s, **kwargs)
+
+
+#: Method name -> estimator(signal, config). A config is a dict of the
+#: method's ``EnvelopeResult.params`` keys (a three_step config may also be an
+#: EnvelopeParams); keys left out take the estimator's own defaults.
+ESTIMATORS = {
+    "three_step": _three_step,
+    "follower": _follower,
+    "rms": lambda s, config: envelope_rms(s, **config),
+    "hilbert": lambda s, config: envelope_hilbert(s),
+}
+
+# (params key, label format) in label order; a method without any is "-".
+_LABEL_FIELDS = (
+    ("bunch_size", "N=%d"),
+    ("cutoff_hz", "fc=%gHz"),
+    ("filter_order", "order=%d"),
+    ("window_samples", "window=%d"),
+)
+
+
+def _param_summary(params: dict) -> str:
+    return " ".join(fmt % params[key] for key, fmt in _LABEL_FIELDS if key in params) or "-"
 
 
 def _ratio(num: float, den: float) -> float:
@@ -207,12 +219,16 @@ def compare_methods(
             "signal length mismatch: truth has %d samples, signal %d" % (len(truth), len(s))
         )
 
+    for method, _ in configs:
+        if method not in ESTIMATORS:
+            raise ValueError("unknown method: %r" % (method,))
+
     runs = []
-    for method, params in configs:
-        fn, label = _bind_method(method, params, s)
+    for method, config in configs:
+        fn = partial(ESTIMATORS[method], s, config or {})
         result = fn()  # warmup; also the output used for metrics
         runtime_ms = measure_runtime_ms(fn, repeats=5, warmup=0)
-        runs.append((method, label, result.envelope.samples, runtime_ms))
+        runs.append((method, _param_summary(result.params), result.envelope.samples, runtime_ms))
 
     if truth is not None:
         reference = "ground_truth"
@@ -268,17 +284,3 @@ def three_step_runtime_ms(
     sig, _ = generate(SyntheticSpec(duration_s=duration_s, sample_rate_hz=sample_rate_hz))
     p = params if params is not None else EnvelopeParams()
     return measure_runtime_ms(lambda: three_step_envelope(sig, p), repeats, warmup)
-
-
-def benchmark_backends(
-    duration_s: float = 1.5,
-    sample_rate_hz: float = 44100.0,
-    params: EnvelopeParams | None = None,
-    backends: tuple[str, ...] | None = None,
-) -> dict[str, float]:
-    """Time the pipeline under each kernel backend; returns {backend: ms}."""
-    out = {}
-    for name in backends if backends is not None else kernels.available_backends():
-        with kernels.backend(name):
-            out[name] = three_step_runtime_ms(duration_s, sample_rate_hz, params)
-    return out

@@ -21,16 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
 from .audio_io import WavFormatError, read_wav, to_mono, write_csv, write_wav
-from .bench import (
-    ComparisonReport,
-    SyntheticSpec,
-    benchmark_backends,
-    compare_methods,
-    generate,
-)
-from .envelopes import PRESETS, EnvelopeParams, three_step_stages
+from .bench import SyntheticSpec, compare_methods, generate, three_step_runtime_ms
+from .envelopes import PRESETS, RMS_WINDOW, EnvelopeParams, three_step_stages
 from .filter_design import FilterSpec, butterworth_lowpass, frequency_response
 
 
@@ -126,23 +119,12 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if args.with_hilbert and "hilbert" not in methods:
         methods.append("hilbert")
-    params_by_method = {
-        "three_step": {
-            "bunch_size": args.bunch,
-            "cutoff_hz": args.cutoff,
-            "filter_order": args.order,
-        },
+    flag_configs = {
+        "three_step": {"bunch_size": args.bunch, "cutoff_hz": args.cutoff, "filter_order": args.order},
         "follower": {"cutoff_hz": args.follower_cutoff, "filter_order": args.order},
         "rms": {"window_samples": args.rms_window},
-        "hilbert": {},
     }
-    configs = []
-    for method in methods:
-        if method not in params_by_method:
-            raise ValueError("unknown method: %r" % method)
-        configs.append((method, params_by_method[method]))
-
-    report = compare_methods(sig, truth, configs)
+    report = compare_methods(sig, truth, [(m, flag_configs.get(m, {})) for m in methods])
     print("input: %s (%d samples @ %g Hz)" % (label, len(sig), sig.sample_rate))
     print(report.to_table())
     if args.output:
@@ -188,30 +170,17 @@ def cmd_synth(args) -> int:
 
 def cmd_bench(args) -> int:
     params = EnvelopeParams(args.bunch, args.cutoff, args.order)
-    if args.backend == "both":
-        backends = kernels.available_backends()
-        judged = kernels.active_backend()
-    elif args.backend == "auto":
-        backends = (kernels.active_backend(),)
-        judged = backends[0]
-    else:
-        backends = (args.backend,)
-        judged = args.backend
-
     n_samples = int(round(args.duration * args.rate))
     print(
         "three-step pipeline: %d samples (%g s @ %g Hz), bunch=%d cutoff=%g Hz order=%d"
         % (n_samples, args.duration, args.rate, params.bunch_size, params.cutoff_hz, params.filter_order)
     )
-    times = benchmark_backends(args.duration, args.rate, params, backends)
-    for name, ms in times.items():
-        print("backend %s: %.3f ms (median of 5 after 1 warmup)" % (name, ms))
-
-    measured = times[judged]
+    measured = three_step_runtime_ms(args.duration, args.rate, params)
+    print("runtime: %.3f ms (median of 5 after 1 warmup)" % measured)
     if measured < args.budget_ms:
-        print("PASS: %s %.3f ms within %g ms budget" % (judged, measured, args.budget_ms))
+        print("PASS: %.3f ms within %g ms budget" % (measured, args.budget_ms))
         return 0
-    print("FAIL: %s %.3f ms exceeds %g ms budget" % (judged, measured, args.budget_ms))
+    print("FAIL: %.3f ms exceeds %g ms budget" % (measured, args.budget_ms))
     return 3
 
 
@@ -254,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     env.add_argument("--preset", choices=sorted(PRESETS), help="tuned parameter preset")
     env.add_argument("--bunch", type=int, help="bunch size in samples")
     env.add_argument("--cutoff", type=float, help="low-pass cutoff in Hz")
-    env.add_argument("--order", type=int, help="filter order (default 4)")
-    env.add_argument("--channel", default="mean", help="'mean' or a channel index (default mean)")
+    env.add_argument("--order", type=int, help="filter order (default %d)" % EnvelopeParams.filter_order)
+    env.add_argument("--channel", default="mean", help="'mean' or a channel index (default %(default)s)")
     env.set_defaults(func=cmd_envelope)
 
     cmp_ = sub.add_parser("compare", help="compare envelope methods")
@@ -263,11 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("-o", "--output", help="write the report as CSV here")
     cmp_.add_argument("--methods", default="three_step,follower,rms", help="comma-separated method list")
     cmp_.add_argument("--with-hilbert", action="store_true", help="add the Hilbert method")
-    cmp_.add_argument("--bunch", type=int, default=35, help="three-step bunch size (default 35)")
-    cmp_.add_argument("--cutoff", type=float, default=120.0, help="three-step cutoff Hz (default 120)")
-    cmp_.add_argument("--order", type=int, default=4, help="filter order (default 4)")
-    cmp_.add_argument("--follower-cutoff", type=float, default=150.0, help="follower cutoff Hz (default 150)")
-    cmp_.add_argument("--rms-window", type=int, default=50, help="RMS window in samples (default 50)")
+    # --bunch/--cutoff default to the peak-hold setting of the method-comparison figure
+    cmp_.add_argument("--bunch", type=int, default=35, help="three-step bunch size (default %(default)d)")
+    cmp_.add_argument("--cutoff", type=float, default=120.0, help="three-step cutoff Hz (default %(default)g)")
+    cmp_.add_argument("--order", type=int, default=EnvelopeParams.filter_order, help="filter order (default %(default)d)")
+    cmp_.add_argument("--follower-cutoff", type=float, default=EnvelopeParams.cutoff_hz, help="follower cutoff Hz (default %(default)g)")
+    cmp_.add_argument("--rms-window", type=int, default=RMS_WINDOW, help="RMS window in samples (default %(default)d)")
     cmp_.add_argument("--channel", default="mean", help="'mean' or a channel index")
     cmp_.add_argument("--carrier", type=float, default=2000.0, help="synthetic carrier Hz")
     cmp_.add_argument("--modulator", type=float, default=5.0, help="synthetic modulator Hz")
@@ -289,18 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
     syn.set_defaults(func=cmd_synth)
 
     ben = sub.add_parser("bench", help="time the pipeline against a budget")
-    ben.add_argument("--duration", type=float, default=1.5, help="signal duration s (default 1.5)")
-    ben.add_argument("--rate", type=float, default=44100.0, help="sample rate Hz (default 44100)")
-    ben.add_argument("--budget-ms", type=float, default=500.0, help="runtime budget in ms (default 500)")
-    ben.add_argument("--bunch", type=int, default=50)
-    ben.add_argument("--cutoff", type=float, default=150.0)
-    ben.add_argument("--order", type=int, default=4)
-    ben.add_argument("--backend", choices=("auto", "numba", "numpy", "both"), default="both", help="kernel backend(s) to time; the verdict uses the active one unless a single backend is forced")
+    ben.add_argument("--duration", type=float, default=1.5, help="signal duration s (default %(default)g)")
+    ben.add_argument("--rate", type=float, default=44100.0, help="sample rate Hz (default %(default)g)")
+    ben.add_argument("--budget-ms", type=float, default=500.0, help="runtime budget in ms (default %(default)g)")
+    ben.add_argument("--bunch", type=int, default=EnvelopeParams.bunch_size)
+    ben.add_argument("--cutoff", type=float, default=EnvelopeParams.cutoff_hz)
+    ben.add_argument("--order", type=int, default=EnvelopeParams.filter_order)
     ben.set_defaults(func=cmd_bench)
 
     dump = sub.add_parser("filter-dump", help="print filter coefficients and response")
     dump.add_argument("--cutoff", type=float, required=True, help="cutoff Hz")
-    dump.add_argument("--order", type=int, default=4)
+    dump.add_argument("--order", type=int, default=EnvelopeParams.filter_order)
     dump.add_argument("--rate", type=float, default=44100.0)
     dump.add_argument("--points", type=int, default=256, help="response grid size")
     dump.add_argument("-o", "--output", help="write the response table as CSV here")

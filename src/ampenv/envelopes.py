@@ -8,7 +8,8 @@ gives A/sqrt(2) and the rectify-and-smooth follower gives 2A/pi.
 
 The baselines:
 
-* ``envelope_follower`` - rectification followed by low-pass filtering.
+* ``envelope_follower`` - rectification followed by low-pass filtering,
+  i.e. the peak-hold pipeline with bunch size 1.
 * ``envelope_rms`` - root mean square over a centered sliding window.
 * ``envelope_hilbert`` - magnitude of the analytic signal; accurate only for
   narrow-band inputs, and shipped mainly for comparison.
@@ -50,6 +51,9 @@ class EnvelopeParams:
             raise ValueError("invalid filter spec: order must be a positive integer")
 
 
+#: Default sliding-RMS window, in samples.
+RMS_WINDOW = 50
+
 #: Tuned (bunch_size, cutoff_hz) starting points for common 44.1 kHz sources.
 PRESETS: dict[str, EnvelopeParams] = {
     "canary": EnvelopeParams(bunch_size=35, cutoff_hz=300.0),
@@ -71,16 +75,12 @@ class EnvelopeResult:
         object.__setattr__(self, "params", dict(self.params))
 
 
-def _design(cutoff_hz: float, sample_rate: float, order: int):
-    return butterworth_lowpass(FilterSpec(cutoff_hz, sample_rate, order))
-
-
 def three_step_stages(
     s: Signal, params: EnvelopeParams | None = None
 ) -> tuple[Signal, Signal, Signal]:
     """Rectified, staircase, and final envelope stages of the peak-hold method."""
     p = params if params is not None else EnvelopeParams()
-    design = _design(p.cutoff_hz, s.sample_rate, p.filter_order)
+    design = butterworth_lowpass(FilterSpec(p.cutoff_hz, s.sample_rate, p.filter_order))
     rectified = rectify(s)
     staircase = bunch_max(rectified, BunchSpec(p.bunch_size))
     envelope = filtfilt_zero_phase(design, staircase)
@@ -104,18 +104,21 @@ def three_step_envelope(s: Signal, params: EnvelopeParams | None = None) -> Enve
     )
 
 
-def envelope_follower(s: Signal, cutoff_hz: float = 150.0, order: int = 4) -> EnvelopeResult:
+def envelope_follower(
+    s: Signal, cutoff_hz: float = EnvelopeParams.cutoff_hz, order: int = EnvelopeParams.filter_order
+) -> EnvelopeResult:
     """Classical envelope follower: rectify then zero-phase low-pass.
 
-    Settles at the mean of the rectified waveform (2A/pi for a sinusoid of
-    amplitude A), i.e. systematically below the peak level.
+    This is the peak-hold pipeline with bunch size 1, where the bunch
+    maximum leaves the rectified waveform unchanged. It settles at the mean
+    of the rectified waveform (2A/pi for a sinusoid of amplitude A), i.e.
+    systematically below the peak level.
     """
-    design = _design(cutoff_hz, s.sample_rate, order)
-    envelope = filtfilt_zero_phase(design, rectify(s))
+    _, _, envelope = three_step_stages(s, EnvelopeParams(1, cutoff_hz, order))
     return EnvelopeResult(envelope, "follower", {"cutoff_hz": float(cutoff_hz), "filter_order": int(order)})
 
 
-def envelope_rms(s: Signal, window_samples: int = 50) -> EnvelopeResult:
+def envelope_rms(s: Signal, window_samples: int = RMS_WINDOW) -> EnvelopeResult:
     """Sliding-window RMS envelope.
 
     Each output sample is the RMS over a centered window of nominal width

@@ -1,84 +1,21 @@
-"""Hot inner loops with a numba-accelerated path and a pure NumPy/Python fallback.
+"""The cascaded biquad recurrence, the one hot loop that cannot be vectorized.
 
-The cascaded biquad recurrence and the per-bunch maximum are the only
-operations in the package that cannot be fully vectorized; everything else
-stays in plain NumPy. Backend selection:
-
-    AMPENV_NUMBA=0   force the fallback implementations
-    AMPENV_NUMBA=1   require numba (raise at import if it is missing)
-    unset            use numba when importable, fallback otherwise
-
-``force_backend`` / ``backend`` override the choice at runtime, which the
-benchmark uses to time both paths in one process.
+Everything else in the package stays in plain NumPy; this module is the
+single place a faster recurrence would go.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
 
-_ENV_FLAG = os.environ.get("AMPENV_NUMBA", "").strip().lower()
 
-if _ENV_FLAG in ("0", "false", "off", "no"):
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit
+def sos_filter(sos: np.ndarray, x: np.ndarray, zi: np.ndarray):
+    """Run the biquad cascade over x; returns (output, final state).
 
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _ENV_FLAG in ("1", "true", "on", "yes"):
-            raise ImportError("AMPENV_NUMBA requests numba but it is not installed")
-        _HAVE_NUMBA = False
-
-_FORCED: str | None = None
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def active_backend() -> str:
-    if _FORCED is not None:
-        return _FORCED
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def force_backend(name: str | None) -> None:
-    """Pin the kernel backend ("numba" or "numpy"); None restores auto."""
-    global _FORCED
-    if name is not None and name not in available_backends():
-        raise ValueError(
-            "unknown backend: %r (available: %s)" % (name, ", ".join(available_backends()))
-        )
-    _FORCED = name
-
-
-@contextmanager
-def backend(name: str | None):
-    """Temporarily pin the kernel backend."""
-    previous = _FORCED
-    force_backend(name)
-    try:
-        yield
-    finally:
-        force_backend(previous)
-
-
-def _bunch_max_numpy(x: np.ndarray, n: int) -> np.ndarray:
-    m = x.shape[0]
-    full = m // n
-    out = np.empty(m, dtype=np.float64)
-    if full:
-        out[: full * n] = np.repeat(x[: full * n].reshape(full, n).max(axis=1), n)
-    if full * n < m:
-        out[full * n :] = x[full * n :].max()
-    return out
-
-
-def _sos_filter_python(sos: np.ndarray, x: np.ndarray, zi: np.ndarray):
+    ``sos`` rows are (b0, b1, b2, a1, a2) with a0 = 1; ``zi`` has one
+    (s0, s1) delay pair per section (transposed direct-form II). Inputs are
+    not mutated.
+    """
     # Scalar-float loop over plain lists: ~100x faster than indexing ndarrays.
     y = x.tolist()
     zf = zi.astype(np.float64)  # astype copies; zi itself is never mutated
@@ -95,64 +32,3 @@ def _sos_filter_python(sos: np.ndarray, x: np.ndarray, zi: np.ndarray):
         zf[s, 0] = s0
         zf[s, 1] = s1
     return np.asarray(y, dtype=np.float64), zf
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _bunch_max_numba(x, n):  # pragma: no cover - exercised via dispatch
-        m = x.shape[0]
-        out = np.empty(m, dtype=np.float64)
-        start = 0
-        while start < m:
-            stop = min(start + n, m)
-            peak = x[start]
-            for i in range(start + 1, stop):
-                if x[i] > peak:
-                    peak = x[i]
-            for i in range(start, stop):
-                out[i] = peak
-            start = stop
-        return out
-
-    @njit(cache=True)
-    def _sos_filter_numba(sos, x, zi):  # pragma: no cover - exercised via dispatch
-        y = x.copy()
-        zf = zi.copy()
-        count = y.shape[0]
-        for s in range(sos.shape[0]):
-            b0 = sos[s, 0]
-            b1 = sos[s, 1]
-            b2 = sos[s, 2]
-            a1 = sos[s, 3]
-            a2 = sos[s, 4]
-            s0 = zf[s, 0]
-            s1 = zf[s, 1]
-            for i in range(count):
-                xi = y[i]
-                yi = b0 * xi + s0
-                s0 = b1 * xi - a1 * yi + s1
-                s1 = b2 * xi - a2 * yi
-                y[i] = yi
-            zf[s, 0] = s0
-            zf[s, 1] = s1
-        return y, zf
-
-
-def bunch_max_values(x: np.ndarray, n: int) -> np.ndarray:
-    """Per-bunch maximum, expanded back to the input length."""
-    if active_backend() == "numba":
-        return _bunch_max_numba(x, n)
-    return _bunch_max_numpy(x, n)
-
-
-def sos_filter(sos: np.ndarray, x: np.ndarray, zi: np.ndarray):
-    """Run the biquad cascade over x; returns (output, final state).
-
-    ``sos`` rows are (b0, b1, b2, a1, a2) with a0 = 1; ``zi`` has one
-    (s0, s1) delay pair per section (transposed direct-form II). Inputs are
-    not mutated.
-    """
-    if active_backend() == "numba":
-        return _sos_filter_numba(sos, x, np.ascontiguousarray(zi, dtype=np.float64))
-    return _sos_filter_python(sos, x, zi)

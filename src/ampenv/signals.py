@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -94,4 +92,12 @@ def bunch_max(s: Signal, spec: BunchSpec | int) -> Signal:
         spec = BunchSpec(spec)
     if len(s) == 0:
         raise ValueError("empty input")
-    return Signal._wrap(kernels.bunch_max_values(s.samples, spec.bunch_size), s.sample_rate)
+    x, n = s.samples, spec.bunch_size
+    m = x.shape[0]
+    full = m // n
+    out = np.empty(m, dtype=np.float64)
+    if full:
+        out[: full * n] = np.repeat(x[: full * n].reshape(full, n).max(axis=1), n)
+    if full * n < m:
+        out[full * n :] = x[full * n :].max()
+    return Signal._wrap(out, s.sample_rate)

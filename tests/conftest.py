@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from ampenv import kernels
 
+@pytest.fixture(params=["numpy"])
+def kernel_path(request):
+    """The package's one kernel path, plain NumPy/Python.
 
-@pytest.fixture(params=kernels.available_backends())
-def each_backend(request):
-    """Run the test once per available kernel backend."""
-    with kernels.backend(request.param):
-        yield request.param
+    Kept as a parameter so the kernel tests keep their ``[numpy]`` ids.
+    """
+    return request.param
 
 
 @pytest.fixture

@@ -46,7 +46,7 @@ def central(x, fraction=0.8):
 
 def test_criterion_1_runtime(capsys):
     ms = three_step_runtime_ms(duration_s=1.5, sample_rate_hz=44100.0)
-    code = main(["bench", "--duration", "1.5", "--rate", "44100", "--backend", "auto"])
+    code = main(["bench", "--duration", "1.5", "--rate", "44100"])
     with capsys.disabled():
         _verdict(
             1,

@@ -21,6 +21,21 @@ def pcm16_wav_bytes(samples, rate=44100, channels=1):
     )
 
 
+def float32_wav_bytes(samples, rate=44100):
+    """Hand-assembled 32-bit IEEE float mono file."""
+    payload = struct.pack("<%df" % len(samples), *samples)
+    return (
+        b"RIFF"
+        + struct.pack("<I", 36 + len(payload))
+        + b"WAVE"
+        + b"fmt "
+        + struct.pack("<IHHIIHH", 16, 3, 1, rate, rate * 4, 4, 32)
+        + b"data"
+        + struct.pack("<I", len(payload))
+        + payload
+    )
+
+
 class TestReadWav:
     def test_known_16bit_samples(self, tmp_path):
         path = tmp_path / "known.wav"
@@ -145,6 +160,13 @@ class TestReadWav:
         path = tmp_path / "p8.wav"
         path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
         with pytest.raises(WavFormatError, match="unsupported bit depth"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(float32_wav_bytes([0.0, 0.5, bad, -0.5]))
+        with pytest.raises(WavFormatError, match="non-finite sample"):
             read_wav(path)
 
     def test_missing_file_is_oserror(self, tmp_path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,20 @@ class TestEnvelopeCommand:
         assert str(missing) in stderr
         assert stderr.count("\n") == 1
 
+    def test_non_finite_float_wav_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "nan.wav"
+        write_wav(path, Signal(np.zeros(4410), 44100.0), "float32")
+        data = bytearray(path.read_bytes())
+        data[-4:] = struct.pack("<f", float("nan"))  # last sample
+        path.write_bytes(bytes(data))
+        out = tmp_path / "env.csv"
+        code, stdout, stderr = run(capsys, "envelope", str(path), "-o", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("ampenv: non-finite sample")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_cutoff_above_nyquist_exits_2(self, capsys, tone_wav, tmp_path):
         code, _, stderr = run(
             capsys, "envelope", str(tone_wav), "-o", str(tmp_path / "x.csv"), "--cutoff", "30000"
@@ -108,6 +124,37 @@ class TestCompareCommand:
         )
         assert code == 0
         assert len(out.read_text().strip().split("\n")) == 5
+
+    def test_report_labels(self, capsys, tmp_path):
+        out = tmp_path / "report.csv"
+        code, _, _ = run(capsys, "compare", "-o", str(out), "--duration", "0.4", "--with-hilbert")
+        assert code == 0
+        labels = [l.split(",")[1] for l in out.read_text().strip().split("\n")[1:]]
+        assert labels == ["N=35 fc=120Hz order=4", "fc=150Hz order=4", "window=50", "-"]
+
+        code, _, _ = run(
+            capsys, "compare", "-o", str(out), "--duration", "0.4",
+            "--bunch", "20", "--cutoff", "200", "--order", "2",
+            "--follower-cutoff", "90.5", "--rms-window", "10",
+        )
+        assert code == 0
+        labels = [l.split(",")[1] for l in out.read_text().strip().split("\n")[1:]]
+        assert labels == ["N=20 fc=200Hz order=2", "fc=90.5Hz order=2", "window=10"]
+
+    def test_help_shows_defaults(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compare", "--help"])
+        assert excinfo.value.code == 0
+        help_text = capsys.readouterr().out
+        for shown in (
+            "three-step bunch size (default 35)",
+            "three-step cutoff Hz (default 120)",
+            "filter order (default 4)",
+            "follower cutoff Hz (default 150)",
+            "RMS window in samples (default 50)",
+        ):
+            assert shown in help_text
 
     def test_wav_input_reference_is_three_step(self, capsys, tone_wav):
         code, stdout, stderr = run(capsys, "compare", str(tone_wav))
@@ -156,26 +203,25 @@ class TestBenchCommand:
         assert code == 0
         assert stderr == ""
         assert "PASS" in stdout
-        assert "backend" in stdout
+        assert "bunch=50 cutoff=150 Hz order=4" in stdout
+
+    def test_help_shows_defaults(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--help"])
+        assert excinfo.value.code == 0
+        help_text = capsys.readouterr().out
+        for shown in (
+            "signal duration s (default 1.5)",
+            "sample rate Hz (default 44100)",
+            "runtime budget in ms (default 500)",
+        ):
+            assert shown in help_text
 
     def test_forced_fail_exits_3(self, capsys):
-        code, stdout, _ = run(
-            capsys, "bench", "--duration", "0.2", "--budget-ms", "0.001", "--backend", "auto"
-        )
+        code, stdout, _ = run(capsys, "bench", "--duration", "0.2", "--budget-ms", "0.001")
         assert code == 3
         assert "FAIL" in stdout
-
-    def test_numpy_backend_forced(self, capsys):
-        code, stdout, _ = run(
-            capsys, "bench", "--duration", "0.2", "--backend", "numpy"
-        )
-        assert code == 0
-        assert "backend numpy" in stdout
-
-    def test_bad_backend_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--backend", "fortran"])
-        assert excinfo.value.code == 2
 
 
 class TestFilterDumpCommand:

@@ -105,6 +105,27 @@ class TestFollower:
         assert mean == pytest.approx(2.0 * A / np.pi, rel=0.03)
 
 
+    @pytest.mark.parametrize(
+        "rate, cutoff, order",
+        [
+            (8000.0, 20.0, 1),
+            (8000.0, 150.0, 3),
+            (8000.0, 300.0, 4),
+            (44100.0, 20.0, 4),
+            (44100.0, 150.0, 1),
+            (44100.0, 300.0, 3),
+        ],
+    )
+    def test_equals_peak_hold_with_bunch_size_one(self, rate, cutoff, order, rng):
+        sig = Signal(rng.standard_normal(3000), rate)
+        out = envelope_follower(sig, cutoff, order)
+        peak_hold = three_step_envelope(sig, EnvelopeParams(1, cutoff, order))
+        assert np.array_equal(out.envelope.samples, peak_hold.envelope.samples)
+        assert out.envelope.sample_rate == rate
+        assert out.method == "follower"
+        assert out.params == {"cutoff_hz": cutoff, "filter_order": order}
+
+
 class TestRms:
     def test_constant(self):
         out = envelope_rms(Signal(np.full(300, -0.6), 44100.0), 50)

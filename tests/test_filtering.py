@@ -45,7 +45,7 @@ class TestFilterCausal:
         out, _ = filter_causal(design, Signal(np.full(n, 0.7), 44100.0))
         assert abs(out.samples[-1] - 0.7) < 1e-6
 
-    def test_split_vs_whole(self, each_backend, rng):
+    def test_split_vs_whole(self, kernel_path, rng):
         design = make_design()
         x = rng.standard_normal(10000)
         whole, _ = filter_causal(design, Signal(x, 44100.0))
@@ -172,7 +172,7 @@ class TestChunkedEnvelopeStream:
         assert len(chunks) == 1
         np.testing.assert_array_equal(chunks[0].samples, self.offline(design, x, 35))
 
-    def test_four_chunks_match_offline(self, each_backend, rng):
+    def test_four_chunks_match_offline(self, kernel_path, rng):
         design = make_design()
         x = rng.standard_normal(2800)
         parts = [Signal(x[i : i + 700], 44100.0) for i in range(0, 2800, 700)]
@@ -214,19 +214,3 @@ class TestChunkedEnvelopeStream:
         with pytest.raises(ValueError, match="inconsistent sample rate"):
             list(chunked_envelope_stream(design, 35, chunks))
 
-
-class TestBackendParity:
-    def test_filtfilt_identical_across_backends(self, rng):
-        from ampenv import kernels
-
-        if len(kernels.available_backends()) < 2:
-            pytest.skip("only one backend available")
-        design = make_design()
-        sig = Signal(rng.standard_normal(4000), 44100.0)
-        outs = {}
-        for name in kernels.available_backends():
-            with kernels.backend(name):
-                outs[name] = filtfilt_zero_phase(design, sig).samples
-        np.testing.assert_allclose(
-            outs["numba"], outs["numpy"], rtol=1e-12, atol=0.0
-        )
