@@ -1,11 +1,11 @@
 """RIFF/WAVE reading and writing, plus CSV export of time-aligned signals.
 
 Reads uncompressed little-endian PCM (16/24/32-bit) and 32-bit IEEE float,
-mono or multichannel. Integer samples are normalized to [-1, 1] by
-2^(bits-1) on read; float samples are kept as-is and must be finite (a
-NaN or infinity raises WavFormatError). Unknown chunks are
-skipped (word-aligned), and `fmt ` must appear before `data`. Writing
-supports mono 16-bit PCM and 32-bit float.
+mono or multichannel, also as WAVE_FORMAT_EXTENSIBLE with the standard
+sub-format GUID. Integer samples are normalized to [-1, 1] by 2^(bits-1) on
+read; float samples are kept as-is and must be finite (a NaN or infinity
+raises WavFormatError). Unknown chunks are skipped (word-aligned), and `fmt `
+must appear before `data`. Writing supports mono 16-bit PCM and 32-bit float.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ class WavFormatError(ValueError):
 _PCM = 1
 _IEEE_FLOAT = 3
 _EXTENSIBLE = 0xFFFE
+# An extensible SubFormat GUID is the 2-byte tag, then these 14 bytes of xxxx0000-0000-0010-8000-00aa00389b71.
+_SUBFORMAT_BASE = bytes.fromhex("000000001000800000aa00389b71")
+_CSV_BLOCK = 4096  # write_csv rows per tolist() call; bounds the memory its Python floats take
 _CODEC_NAMES = {
     0x02: "ADPCM",
     0x06: "a-law",
@@ -68,7 +71,9 @@ def _parse_fmt(buf: bytes, offset: int, size: int, path) -> tuple[int, int, int,
     if tag == _EXTENSIBLE:
         if size < 40:
             raise WavFormatError("truncated file: extensible fmt chunk too small: %s" % path)
-        tag = struct.unpack_from("<H", buf, offset + 24)[0]  # first GUID bytes
+        tag = struct.unpack_from("<H", buf, offset + 24)[0]
+        if buf[offset + 26 : offset + 40] != _SUBFORMAT_BASE:
+            raise WavFormatError("unsupported codec sub-format %s: %s" % (buf[offset + 24 : offset + 40].hex(), path))
     if tag not in (_PCM, _IEEE_FLOAT):
         name = _CODEC_NAMES.get(tag, "0x%04x" % tag)
         raise WavFormatError("unsupported codec %s: %s" % (name, path))
@@ -139,8 +144,6 @@ def read_wav(path) -> AudioFile:
 def write_wav(path, s: Signal, fmt: str = "pcm16") -> int:
     """Write a mono WAV file; returns how many samples were clipped to [-1, 1]."""
     x = s.samples
-    if x.size and not np.isfinite(x).all():
-        raise ValueError("non-finite sample")
     clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
     x = np.clip(x, -1.0, 1.0)
     rate = int(round(s.sample_rate))
@@ -194,14 +197,13 @@ def write_csv(path, signals) -> None:
             raise ValueError("signal length mismatch: %r has %d samples, expected %d" % (name, len(sig), n))
         if sig.sample_rate != rate:
             raise ValueError("inconsistent sample rate: %r at %g Hz, expected %g Hz" % (name, sig.sample_rate, rate))
-    columns = [sig.samples for sig in sigs]
+    row = ",".join(["%.9g"] * (len(sigs) + 1)) + "\n"
     with open(path, "w", newline="") as f:
         f.write("time_s," + ",".join(names) + "\n")
-        for i in range(n):
-            row = "%.9g" % (i / rate)
-            for col in columns:
-                row += ",%.9g" % col[i]
-            f.write(row + "\n")
+        for start in range(0, n, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, n)
+            block = np.column_stack([np.arange(start, stop) / rate] + [sig.samples[start:stop] for sig in sigs])
+            f.write("".join(row % tuple(values) for values in block.tolist()))
 
 
 def to_mono(audio: AudioFile, mode="mean") -> Signal:

@@ -23,9 +23,14 @@ from .envelopes import (
     envelope_rms,
     three_step_envelope,
 )
-from .signals import Signal
+from .signals import Signal, _positive_finite
 
 SYNTH_KINDS = ("am_tone", "multi_carrier_am", "chirp_am", "noise_burst")
+
+#: Runtime checks time the paper's reference: 1.5 s at SyntheticSpec's 44.1 kHz.
+REFERENCE_DURATION_S = 1.5
+#: measure_runtime_ms: the median of RUNTIME_REPEATS timed calls after RUNTIME_WARMUP untimed ones.
+RUNTIME_REPEATS, RUNTIME_WARMUP = 5, 1
 
 
 @dataclass(frozen=True)
@@ -58,23 +63,19 @@ class SyntheticSpec:
         else:
             carriers = tuple(float(c) for c in carriers)
         object.__setattr__(self, "carrier_hz", carriers)
-        if float(self.duration_s) <= 0.0:
-            raise ValueError("duration must be positive")
-        if float(self.sample_rate_hz) <= 0.0:
-            raise ValueError("sample rate must be positive")
+        _positive_finite(self.duration_s, "duration must be positive")
+        nyquist = _positive_finite(self.sample_rate_hz, "sample rate must be positive") / 2.0
         if not 0.0 <= float(self.depth) <= 1.0:
             raise ValueError("depth must be in [0, 1]")
-        nyquist = float(self.sample_rate_hz) / 2.0
         if self.kind != "noise_burst":
             for c in carriers:
-                if c <= 0.0:
-                    raise ValueError("carrier must be positive")
+                # Nyquist first, so an infinite carrier reads as above Nyquist
                 if c >= nyquist:
                     raise ValueError("carrier at or above Nyquist: %g Hz >= %g Hz" % (c, nyquist))
+                _positive_finite(c, "carrier must be positive")
             if float(self.modulator_hz) >= min(carriers):
                 raise ValueError("modulator must be below the carrier")
-        if float(self.modulator_hz) <= 0.0:
-            raise ValueError("modulator must be positive")
+        _positive_finite(self.modulator_hz, "modulator must be positive")
         if self.kind == "chirp_am" and len(carriers) != 2:
             raise ValueError("chirp_am needs (start, end) carrier frequencies")
         if self.kind == "am_tone" and len(carriers) != 1:
@@ -164,19 +165,12 @@ def _three_step(s: Signal, config) -> EnvelopeResult:
     return three_step_envelope(s, p)
 
 
-def _follower(s: Signal, config: dict) -> EnvelopeResult:
-    kwargs = dict(config)
-    if "filter_order" in kwargs:
-        kwargs["order"] = kwargs.pop("filter_order")
-    return envelope_follower(s, **kwargs)
-
-
 #: Method name -> estimator(signal, config). A config is a dict of the
 #: method's ``EnvelopeResult.params`` keys (a three_step config may also be an
 #: EnvelopeParams); keys left out take the estimator's own defaults.
 ESTIMATORS = {
     "three_step": _three_step,
-    "follower": _follower,
+    "follower": lambda s, config: envelope_follower(s, **config),
     "rms": lambda s, config: envelope_rms(s, **config),
     "hilbert": lambda s, config: envelope_hilbert(s),
 }
@@ -210,7 +204,7 @@ def compare_methods(
     Metrics are evaluated over the central 80% of samples, away from filter
     and transform edge transients. Without ground truth the three_step
     result is the reference (a three_step config must then be present) and
-    the report says so. Runtime is the median of 5 runs after 1 warmup.
+    the report says so. Runtime is timed by ``measure_runtime_ms``.
     """
     if not configs:
         raise ValueError("no methods configured")
@@ -226,8 +220,8 @@ def compare_methods(
     runs = []
     for method, config in configs:
         fn = partial(ESTIMATORS[method], s, config or {})
-        result = fn()  # warmup; also the output used for metrics
-        runtime_ms = measure_runtime_ms(fn, repeats=5, warmup=0)
+        result = fn()  # the first warmup; also the output used for metrics
+        runtime_ms = measure_runtime_ms(fn, warmup=RUNTIME_WARMUP - 1)
         runs.append((method, _param_summary(result.params), result.envelope.samples, runtime_ms))
 
     if truth is not None:
@@ -261,7 +255,7 @@ def compare_methods(
     return ComparisonReport(tuple(rows), reference)
 
 
-def measure_runtime_ms(fn, repeats: int = 5, warmup: int = 1) -> float:
+def measure_runtime_ms(fn, repeats: int = RUNTIME_REPEATS, warmup: int = RUNTIME_WARMUP) -> float:
     """Median wall time of ``fn()`` over ``repeats`` calls after ``warmup``."""
     for _ in range(warmup):
         fn()
@@ -274,13 +268,12 @@ def measure_runtime_ms(fn, repeats: int = 5, warmup: int = 1) -> float:
 
 
 def three_step_runtime_ms(
-    duration_s: float = 1.5,
-    sample_rate_hz: float = 44100.0,
+    duration_s: float = REFERENCE_DURATION_S,
+    sample_rate_hz: float = SyntheticSpec.sample_rate_hz,
     params: EnvelopeParams | None = None,
-    repeats: int = 5,
-    warmup: int = 1,
+    repeats: int = RUNTIME_REPEATS,
+    warmup: int = RUNTIME_WARMUP,
 ) -> float:
     """Median runtime of the full peak-hold pipeline on a synthetic AM tone."""
     sig, _ = generate(SyntheticSpec(duration_s=duration_s, sample_rate_hz=sample_rate_hz))
-    p = params if params is not None else EnvelopeParams()
-    return measure_runtime_ms(lambda: three_step_envelope(sig, p), repeats, warmup)
+    return measure_runtime_ms(lambda: three_step_envelope(sig, params), repeats, warmup)

@@ -22,7 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import WavFormatError, read_wav, to_mono, write_csv, write_wav
-from .bench import SyntheticSpec, compare_methods, generate, three_step_runtime_ms
+from .bench import (
+    REFERENCE_DURATION_S, RUNTIME_REPEATS, RUNTIME_WARMUP, SYNTH_KINDS, SyntheticSpec,
+    compare_methods, generate, three_step_runtime_ms,
+)
 from .envelopes import PRESETS, RMS_WINDOW, EnvelopeParams, three_step_stages
 from .filter_design import FilterSpec, butterworth_lowpass, frequency_response
 
@@ -98,7 +101,6 @@ def _compare_input(args):
         audio = read_wav(args.input)
         return to_mono(audio, args.channel), None, args.input
     spec = SyntheticSpec(
-        kind="am_tone",
         carrier_hz=args.carrier,
         modulator_hz=args.modulator,
         depth=args.depth,
@@ -170,13 +172,14 @@ def cmd_synth(args) -> int:
 
 def cmd_bench(args) -> int:
     params = EnvelopeParams(args.bunch, args.cutoff, args.order)
+    SyntheticSpec(duration_s=args.duration, sample_rate_hz=args.rate)  # validates both before the header uses them
     n_samples = int(round(args.duration * args.rate))
     print(
         "three-step pipeline: %d samples (%g s @ %g Hz), bunch=%d cutoff=%g Hz order=%d"
         % (n_samples, args.duration, args.rate, params.bunch_size, params.cutoff_hz, params.filter_order)
     )
     measured = three_step_runtime_ms(args.duration, args.rate, params)
-    print("runtime: %.3f ms (median of 5 after 1 warmup)" % measured)
+    print("runtime: %.3f ms (median of %d after %d warmup)" % (measured, RUNTIME_REPEATS, RUNTIME_WARMUP))
     if measured < args.budget_ms:
         print("PASS: %.3f ms within %g ms budget" % (measured, args.budget_ms))
         return 0
@@ -239,28 +242,28 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--follower-cutoff", type=float, default=EnvelopeParams.cutoff_hz, help="follower cutoff Hz (default %(default)g)")
     cmp_.add_argument("--rms-window", type=int, default=RMS_WINDOW, help="RMS window in samples (default %(default)d)")
     cmp_.add_argument("--channel", default="mean", help="'mean' or a channel index")
-    cmp_.add_argument("--carrier", type=float, default=2000.0, help="synthetic carrier Hz")
-    cmp_.add_argument("--modulator", type=float, default=5.0, help="synthetic modulator Hz")
-    cmp_.add_argument("--depth", type=float, default=0.5, help="synthetic modulation depth")
-    cmp_.add_argument("--duration", type=float, default=2.0, help="synthetic duration s")
-    cmp_.add_argument("--rate", type=float, default=44100.0, help="synthetic sample rate Hz")
+    cmp_.add_argument("--carrier", type=float, default=SyntheticSpec.carrier_hz, help="synthetic carrier Hz")
+    cmp_.add_argument("--modulator", type=float, default=SyntheticSpec.modulator_hz, help="synthetic modulator Hz")
+    cmp_.add_argument("--depth", type=float, default=SyntheticSpec.depth, help="synthetic modulation depth")
+    cmp_.add_argument("--duration", type=float, default=SyntheticSpec.duration_s, help="synthetic duration s")
+    cmp_.add_argument("--rate", type=float, default=SyntheticSpec.sample_rate_hz, help="synthetic sample rate Hz")
     cmp_.set_defaults(func=cmd_compare)
 
     syn = sub.add_parser("synth", help="generate a synthetic signal and its true envelope")
     syn.add_argument("-o", "--output", required=True, help="output path (suffix picks format)")
-    syn.add_argument("--kind", choices=("am_tone", "multi_carrier_am", "chirp_am", "noise_burst"), default="am_tone")
-    syn.add_argument("--carrier", type=float, nargs="+", default=[2000.0], help="carrier Hz (two values for chirp, several for multi)")
-    syn.add_argument("--modulator", type=float, default=5.0, help="modulator Hz")
-    syn.add_argument("--depth", type=float, default=0.5, help="modulation depth in [0, 1]")
-    syn.add_argument("--duration", type=float, default=2.0, help="duration s")
-    syn.add_argument("--rate", type=float, default=44100.0, help="sample rate Hz")
-    syn.add_argument("--seed", type=int, default=0, help="seed for noise kinds")
+    syn.add_argument("--kind", choices=SYNTH_KINDS, default=SyntheticSpec.kind)
+    syn.add_argument("--carrier", type=float, nargs="+", default=[SyntheticSpec.carrier_hz], help="carrier Hz (two values for chirp, several for multi)")
+    syn.add_argument("--modulator", type=float, default=SyntheticSpec.modulator_hz, help="modulator Hz")
+    syn.add_argument("--depth", type=float, default=SyntheticSpec.depth, help="modulation depth in [0, 1]")
+    syn.add_argument("--duration", type=float, default=SyntheticSpec.duration_s, help="duration s")
+    syn.add_argument("--rate", type=float, default=SyntheticSpec.sample_rate_hz, help="sample rate Hz")
+    syn.add_argument("--seed", type=int, default=SyntheticSpec.seed, help="seed for noise kinds")
     syn.add_argument("--format", choices=("wav", "csv", "both"), help="default: from -o suffix")
     syn.set_defaults(func=cmd_synth)
 
     ben = sub.add_parser("bench", help="time the pipeline against a budget")
-    ben.add_argument("--duration", type=float, default=1.5, help="signal duration s (default %(default)g)")
-    ben.add_argument("--rate", type=float, default=44100.0, help="sample rate Hz (default %(default)g)")
+    ben.add_argument("--duration", type=float, default=REFERENCE_DURATION_S, help="signal duration s (default %(default)g)")
+    ben.add_argument("--rate", type=float, default=SyntheticSpec.sample_rate_hz, help="sample rate Hz (default %(default)g)")
     ben.add_argument("--budget-ms", type=float, default=500.0, help="runtime budget in ms (default %(default)g)")
     ben.add_argument("--bunch", type=int, default=EnvelopeParams.bunch_size)
     ben.add_argument("--cutoff", type=float, default=EnvelopeParams.cutoff_hz)

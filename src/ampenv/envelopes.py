@@ -9,7 +9,8 @@ gives A/sqrt(2) and the rectify-and-smooth follower gives 2A/pi.
 The baselines:
 
 * ``envelope_follower`` - rectification followed by low-pass filtering,
-  i.e. the peak-hold pipeline with bunch size 1.
+  i.e. the peak-hold pipeline with bunch size 1; it takes ``cutoff_hz`` and
+  ``filter_order``, named as in ``EnvelopeParams``.
 * ``envelope_rms`` - root mean square over a centered sliding window.
 * ``envelope_hilbert`` - magnitude of the analytic signal; accurate only for
   narrow-band inputs, and shipped mainly for comparison.
@@ -26,13 +27,13 @@ starting points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .filter_design import FilterSpec, butterworth_lowpass
 from .filtering import filtfilt_zero_phase
-from .signals import BunchSpec, Signal, bunch_max, rectify
+from .signals import BunchSpec, Signal, _positive_finite, _positive_int, bunch_max, rectify
 
 
 @dataclass(frozen=True)
@@ -41,14 +42,12 @@ class EnvelopeParams:
 
     bunch_size: int = 50
     cutoff_hz: float = 150.0
-    filter_order: int = 4
+    filter_order: int = FilterSpec.order
 
     def __post_init__(self):
         BunchSpec(self.bunch_size)  # reuse its validation
-        if float(self.cutoff_hz) <= 0.0:
-            raise ValueError("invalid filter spec: cutoff must be positive")
-        if int(self.filter_order) != self.filter_order or self.filter_order < 1:
-            raise ValueError("invalid filter spec: order must be a positive integer")
+        _positive_finite(self.cutoff_hz, "invalid filter spec: cutoff must be positive")
+        _positive_int(self.filter_order, "invalid filter spec: order must be a positive integer")
 
 
 #: Default sliding-RMS window, in samples.
@@ -97,15 +96,11 @@ def three_step_envelope(s: Signal, params: EnvelopeParams | None = None) -> Enve
     """
     p = params if params is not None else EnvelopeParams()
     _, _, envelope = three_step_stages(s, p)
-    return EnvelopeResult(
-        envelope,
-        "three_step",
-        {"bunch_size": p.bunch_size, "cutoff_hz": p.cutoff_hz, "filter_order": p.filter_order},
-    )
+    return EnvelopeResult(envelope, "three_step", asdict(p))
 
 
 def envelope_follower(
-    s: Signal, cutoff_hz: float = EnvelopeParams.cutoff_hz, order: int = EnvelopeParams.filter_order
+    s: Signal, cutoff_hz: float = EnvelopeParams.cutoff_hz, filter_order: int = EnvelopeParams.filter_order
 ) -> EnvelopeResult:
     """Classical envelope follower: rectify then zero-phase low-pass.
 
@@ -114,8 +109,8 @@ def envelope_follower(
     of the rectified waveform (2A/pi for a sinusoid of amplitude A), i.e.
     systematically below the peak level.
     """
-    _, _, envelope = three_step_stages(s, EnvelopeParams(1, cutoff_hz, order))
-    return EnvelopeResult(envelope, "follower", {"cutoff_hz": float(cutoff_hz), "filter_order": int(order)})
+    _, _, envelope = three_step_stages(s, EnvelopeParams(1, cutoff_hz, filter_order))
+    return EnvelopeResult(envelope, "follower", {"cutoff_hz": float(cutoff_hz), "filter_order": int(filter_order)})
 
 
 def envelope_rms(s: Signal, window_samples: int = RMS_WINDOW) -> EnvelopeResult:
@@ -126,9 +121,7 @@ def envelope_rms(s: Signal, window_samples: int = RMS_WINDOW) -> EnvelopeResult:
     extend one sample further to the left of center. Settles at A/sqrt(2)
     on a sinusoid of amplitude A.
     """
-    w = int(window_samples)
-    if w != window_samples or w < 1:
-        raise ValueError("invalid window: %r" % (window_samples,))
+    w = _positive_int(window_samples, "invalid window: %(value)r")
     x = s.samples
     n = x.shape[0]
     if n == 0:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import _positive_finite, _positive_int
+
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -26,19 +28,14 @@ class FilterSpec:
     order: int = 4
 
     def __post_init__(self):
-        if int(self.order) != self.order or self.order < 1:
-            raise ValueError("invalid filter spec: order must be a positive integer")
-        object.__setattr__(self, "order", int(self.order))
-        rate = float(self.sample_rate_hz)
-        cutoff = float(self.cutoff_hz)
-        if not np.isfinite(rate) or rate <= 0.0:
-            raise ValueError("invalid filter spec: sample rate must be positive")
-        if not np.isfinite(cutoff) or cutoff <= 0.0:
-            raise ValueError("invalid filter spec: cutoff must be positive")
+        order = _positive_int(self.order, "invalid filter spec: order must be a positive integer")
+        rate = _positive_finite(self.sample_rate_hz, "invalid filter spec: sample rate must be positive")
+        cutoff = _positive_finite(self.cutoff_hz, "invalid filter spec: cutoff must be positive")
         if cutoff >= rate / 2.0:
             raise ValueError(
                 "cutoff above Nyquist: %g Hz >= %g Hz" % (cutoff, rate / 2.0)
             )
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "cutoff_hz", cutoff)
         object.__setattr__(self, "sample_rate_hz", rate)
 

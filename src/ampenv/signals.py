@@ -12,9 +12,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+# The package's two number rules. Each returns the value converted, or raises
+# ValueError(message); ``message`` may show the rejected value as ``%(value)r``.
+def _positive_finite(value, message: str) -> float:
+    x = float(value)
+    if not 0.0 < x < np.inf:
+        raise ValueError(message % {"value": value})
+    return x
+
+
+def _positive_int(value, message: str) -> int:
+    n = int(value)
+    if n != value or n < 1:
+        raise ValueError(message % {"value": value})
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,25 +40,25 @@ class Signal:
     sample_rate: float
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("signal must be one-dimensional")
-        if arr.size and not np.isfinite(arr).all():
-            raise ValueError("non-finite sample in signal")
-        rate = float(self.sample_rate)
-        if not np.isfinite(rate) or rate <= 0.0:
-            raise ValueError("sample rate must be positive, got %r" % (self.sample_rate,))
-        object.__setattr__(self, "samples", _freeze(arr))
-        object.__setattr__(self, "sample_rate", rate)
+        self._adopt(np.array(self.samples, dtype=np.float64), self.sample_rate)
 
     @classmethod
     def _wrap(cls, samples: np.ndarray, sample_rate: float) -> "Signal":
         # Internal constructor: adopts a freshly computed float64 array
-        # without the defensive copy of __init__.
+        # without the defensive copy of __init__; _adopt checks the invariant.
         sig = object.__new__(cls)
-        object.__setattr__(sig, "samples", _freeze(samples))
-        object.__setattr__(sig, "sample_rate", float(sample_rate))
+        sig._adopt(samples, sample_rate)
         return sig
+
+    def _adopt(self, arr: np.ndarray, sample_rate) -> None:
+        if arr.ndim != 1:
+            raise ValueError("signal must be one-dimensional")
+        if arr.size and not np.isfinite(arr).all():
+            raise ValueError("non-finite sample in signal")
+        rate = _positive_finite(sample_rate, "sample rate must be positive, got %(value)r")
+        arr.setflags(write=False)
+        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "sample_rate", rate)
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -68,10 +79,7 @@ class BunchSpec:
     bunch_size: int
 
     def __post_init__(self):
-        size = int(self.bunch_size)
-        if size != self.bunch_size or size < 1:
-            raise ValueError("invalid bunch size: %r" % (self.bunch_size,))
-        object.__setattr__(self, "bunch_size", size)
+        object.__setattr__(self, "bunch_size", _positive_int(self.bunch_size, "invalid bunch size: %(value)r"))
 
 
 def rectify(s: Signal) -> Signal:

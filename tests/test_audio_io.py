@@ -1,4 +1,5 @@
 import struct
+import uuid
 
 import numpy as np
 import pytest
@@ -30,6 +31,24 @@ def float32_wav_bytes(samples, rate=44100):
         + b"WAVE"
         + b"fmt "
         + struct.pack("<IHHIIHH", 16, 3, 1, rate, rate * 4, 4, 32)
+        + b"data"
+        + struct.pack("<I", len(payload))
+        + payload
+    )
+
+
+def extensible_wav_bytes(samples, subformat, bits, code, rate=44100):
+    """Hand-assembled WAVE_FORMAT_EXTENSIBLE mono file with the given SubFormat GUID bytes."""
+    payload = struct.pack("<%d%s" % (len(samples), code), *samples)
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, 1, rate, rate * bits // 8, bits // 8, bits, 22, bits, 4)
+    fmt += subformat
+    return (
+        b"RIFF"
+        + struct.pack("<I", 20 + len(fmt) + len(payload))
+        + b"WAVE"
+        + b"fmt "
+        + struct.pack("<I", len(fmt))
+        + fmt
         + b"data"
         + struct.pack("<I", len(payload))
         + payload
@@ -169,6 +188,28 @@ class TestReadWav:
         with pytest.raises(WavFormatError, match="non-finite sample"):
             read_wav(path)
 
+    @pytest.mark.parametrize(
+        "tag, bits, code, values, source",
+        [
+            (1, 16, "h", [0, 16384, -32768], "pcm16"),
+            (3, 32, "f", [0.0, 0.5, -1.0], "float32"),
+        ],
+    )
+    def test_extensible_accepted(self, tmp_path, tag, bits, code, values, source):
+        guid = uuid.UUID("%08x-0000-0010-8000-00aa00389b71" % tag).bytes_le
+        path = tmp_path / "ext.wav"
+        path.write_bytes(extensible_wav_bytes(values, guid, bits, code))
+        audio = read_wav(path)
+        assert audio.source_format == source
+        np.testing.assert_array_equal(audio.channels[0].samples, [0.0, 0.5, -1.0])
+
+    def test_extensible_foreign_guid_rejected(self, tmp_path):
+        guid = b"\x01\x00" + b"\xff" * 14  # PCM tag, not the standard GUID base
+        path = tmp_path / "foreign.wav"
+        path.write_bytes(extensible_wav_bytes([0, 16384], guid, 16, "h"))
+        with pytest.raises(WavFormatError, match="unsupported codec"):
+            read_wav(path)
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_wav(tmp_path / "nope.wav")
@@ -234,6 +275,23 @@ class TestWriteCsv:
         table = np.genfromtxt(path, delimiter=",", names=True)
         np.testing.assert_allclose(table["x"], x, atol=1e-8, rtol=1e-8)
         np.testing.assert_allclose(table["y"], y, atol=1e-8, rtol=1e-8)
+
+    def test_byte_exact(self, tmp_path):
+        path = tmp_path / "exact.csv"
+        write_csv(path, [("a", Signal([0.0, 1.0 / 3.0, -2.5e-7], 3.0)), ("b", Signal([1e10, -0.0, 123456789.123], 3.0))])
+        assert path.read_bytes() == (
+            b"time_s,a,b\n"
+            b"0,0,1e+10\n"
+            b"0.333333333,0.333333333,-0\n"
+            b"0.666666667,-2.5e-07,123456789\n"
+        )
+
+    def test_matches_per_value_formatting_across_blocks(self, tmp_path, rng):
+        x = rng.standard_normal(2 * 4096 + 5)
+        path = tmp_path / "long.csv"
+        write_csv(path, {"x": Signal(x, 44100.0), "y": Signal(-x, 44100.0)})
+        rows = ["%.9g,%.9g,%.9g\n" % (i / 44100.0, v, -v) for i, v in enumerate(x.tolist())]
+        assert path.read_text() == "time_s,x,y\n" + "".join(rows)
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no signals"):

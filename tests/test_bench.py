@@ -66,6 +66,23 @@ class TestGenerate:
         with pytest.raises(ValueError, match="unknown synthetic kind"):
             SyntheticSpec(kind="square_wave")
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"duration_s": np.inf}, "duration must be positive"),
+            ({"duration_s": np.nan}, "duration must be positive"),
+            ({"sample_rate_hz": np.inf}, "sample rate must be positive"),
+            ({"sample_rate_hz": np.nan}, "sample rate must be positive"),
+            ({"kind": "noise_burst", "modulator_hz": np.inf}, "modulator must be positive"),
+            ({"modulator_hz": np.nan}, "modulator must be positive"),
+            ({"carrier_hz": np.nan}, "carrier must be positive"),
+        ],
+        ids=["duration-inf", "duration-nan", "rate-inf", "rate-nan", "modulator-inf", "modulator-nan", "carrier-nan"],
+    )
+    def test_rejects_non_finite(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(**kwargs)
+
 
 class TestCompareMethods:
     def test_self_comparison_is_zero(self):

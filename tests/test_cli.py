@@ -224,6 +224,26 @@ class TestBenchCommand:
         assert "FAIL" in stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "-o", "x.wav", "--rate", "inf"],
+        ["synth", "-o", "x.wav", "--duration", "inf"],
+        ["compare", "--duration", "inf"],
+        ["bench", "--duration", "inf"],
+        ["bench", "--rate", "nan"],
+    ],
+    ids=["synth-rate-inf", "synth-duration-inf", "compare-duration-inf", "bench-duration-inf", "bench-rate-nan"],
+)
+def test_non_finite_synthetic_value_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("ampenv: ")
+    assert stderr.count("\n") == 1
+
+
 class TestFilterDumpCommand:
     def test_sections_and_response(self, capsys, tmp_path):
         out = tmp_path / "resp.csv"

@@ -125,6 +125,10 @@ class TestFollower:
         assert out.method == "follower"
         assert out.params == {"cutoff_hz": cutoff, "filter_order": order}
 
+    def test_filter_order_keyword(self):
+        out = envelope_follower(sine(duration=0.1), cutoff_hz=120.0, filter_order=2)
+        assert out.params == {"cutoff_hz": 120.0, "filter_order": 2}
+
 
 class TestRms:
     def test_constant(self):
@@ -151,6 +155,20 @@ class TestRms:
     def test_invalid_window(self):
         with pytest.raises(ValueError, match="invalid window"):
             envelope_rms(sine(duration=0.01), 0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+class TestOverflow:
+    """A stage that overflows raises instead of returning an inf or NaN envelope."""
+
+    def test_rms_of_huge_constant(self):
+        with pytest.raises(ValueError, match="non-finite sample"):
+            envelope_rms(Signal(np.full(100, 1e200), 1.0))
+
+    def test_three_step_of_near_max_sine(self):
+        x = 1.7e308 * np.sin(2.0 * np.pi * 1000.0 * np.arange(4410) / 44100.0)
+        with pytest.raises(ValueError, match="non-finite sample"):
+            three_step_envelope(Signal(x, 44100.0))
 
 
 class TestHilbert:

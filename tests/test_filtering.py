@@ -45,7 +45,7 @@ class TestFilterCausal:
         out, _ = filter_causal(design, Signal(np.full(n, 0.7), 44100.0))
         assert abs(out.samples[-1] - 0.7) < 1e-6
 
-    def test_split_vs_whole(self, kernel_path, rng):
+    def test_split_vs_whole(self, rng):
         design = make_design()
         x = rng.standard_normal(10000)
         whole, _ = filter_causal(design, Signal(x, 44100.0))
@@ -172,7 +172,7 @@ class TestChunkedEnvelopeStream:
         assert len(chunks) == 1
         np.testing.assert_array_equal(chunks[0].samples, self.offline(design, x, 35))
 
-    def test_four_chunks_match_offline(self, kernel_path, rng):
+    def test_four_chunks_match_offline(self, rng):
         design = make_design()
         x = rng.standard_normal(2800)
         parts = [Signal(x[i : i + 700], 44100.0) for i in range(0, 2800, 700)]

@@ -83,24 +83,24 @@ class TestRectify:
 
 
 class TestBunchMax:
-    def test_spec_example(self, kernel_path):
+    def test_spec_example(self):
         x = [1.0, 2.0, 3.0, 0.5, 0.25, 0.1]
         out = bunch_max(Signal(x, 10.0), BunchSpec(3))
         np.testing.assert_array_equal(out.samples, [3.0, 3.0, 3.0, 0.5, 0.5, 0.5])
         np.testing.assert_array_equal(out.samples, naive_bunch_max(np.array(x), 3))
 
-    def test_constant_signal(self, kernel_path):
+    def test_constant_signal(self):
         for n in (1, 3, 7):
             out = bunch_max(Signal(np.full(12, 4.25), 10.0), n)
             np.testing.assert_array_equal(out.samples, np.full(12, 4.25))
 
-    def test_partial_final_bunch(self, kernel_path, rng):
+    def test_partial_final_bunch(self, rng):
         x = rng.standard_normal(7)
         out = bunch_max(Signal(x, 10.0), 3)
         np.testing.assert_array_equal(out.samples, naive_bunch_max(x, 3))
         assert out.samples[6] == x[6]  # single-sample trailing bunch is its own max
 
-    def test_oracle_equivalence_1000_random(self, kernel_path):
+    def test_oracle_equivalence_1000_random(self):
         rng = np.random.default_rng(1234)
         for _ in range(1000):
             length = int(rng.integers(1, 257))
@@ -115,18 +115,18 @@ class TestBunchMax:
         assert len(out) == 100
         assert out.sample_rate == 48000.0
 
-    def test_domination(self, kernel_path, rng):
+    def test_domination(self, rng):
         x = rng.standard_normal(211)
         stair = bunch_max(rectify(Signal(x, 10.0)), 8).samples
         assert np.all(stair >= np.abs(x))
 
-    def test_idempotent_on_multiple_lengths(self, kernel_path, rng):
+    def test_idempotent_on_multiple_lengths(self, rng):
         x = rng.standard_normal(96)
         once = bunch_max(Signal(x, 10.0), 8)
         twice = bunch_max(once, 8)
         np.testing.assert_array_equal(once.samples, twice.samples)
 
-    def test_positive_homogeneity_exact(self, kernel_path, rng):
+    def test_positive_homogeneity_exact(self, rng):
         x = rng.standard_normal(64)
         for a in (0.1, 2.0, 10.0):
             np.testing.assert_array_equal(
