@@ -28,6 +28,14 @@ _EXTENSIBLE = 0xFFFE
 # An extensible SubFormat GUID is the 2-byte tag, then these 14 bytes of xxxx0000-0000-0010-8000-00aa00389b71.
 _SUBFORMAT_BASE = bytes.fromhex("000000001000800000aa00389b71")
 _CSV_BLOCK = 4096  # write_csv rows per tolist() call; bounds the memory its Python floats take
+#: The readable sample formats: (codec tag, bits) -> (source name, sample
+#: dtype, full scale). 24-bit has no NumPy dtype and is assembled from bytes.
+_SAMPLE_FORMATS = {
+    (_PCM, 16): ("pcm16", "<i2", 32768.0),
+    (_PCM, 24): ("pcm24", None, 8388608.0),
+    (_PCM, 32): ("pcm32", "<i4", 2147483648.0),
+    (_IEEE_FLOAT, 32): ("float32", "<f4", 1.0),
+}
 _CODEC_NAMES = {
     0x02: "ADPCM",
     0x06: "a-law",
@@ -81,32 +89,28 @@ def _parse_fmt(buf: bytes, offset: int, size: int, path) -> tuple[int, int, int,
         raise WavFormatError("not a WAV file: zero channels declared: %s" % path)
     if rate == 0:
         raise WavFormatError("not a WAV file: zero sample rate declared: %s" % path)
-    if (tag, bits) not in ((_PCM, 16), (_PCM, 24), (_PCM, 32), (_IEEE_FLOAT, 32)):
+    if (tag, bits) not in _SAMPLE_FORMATS:
         kind = "float" if tag == _IEEE_FLOAT else "PCM"
         raise WavFormatError("unsupported bit depth: %d-bit %s: %s" % (bits, kind, path))
     return tag, channels, rate, bits
 
 
 def _decode(raw: bytes, tag: int, channels: int, rate: int, bits: int, path) -> AudioFile:
+    source, dtype, scale = _SAMPLE_FORMATS[tag, bits]
     frame = (bits // 8) * channels
     raw = raw[: (len(raw) // frame) * frame]  # drop any partial trailing frame
-    if tag == _IEEE_FLOAT:
-        flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        if not np.isfinite(flat).all():
-            raise WavFormatError("non-finite sample (NaN or inf) in float data: %s" % path)
-        source = "float32"
-    elif bits == 16:
-        flat = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-        source = "pcm16"
-    elif bits == 32:
-        flat = np.frombuffer(raw, dtype="<i4").astype(np.float64) / 2147483648.0
-        source = "pcm32"
-    else:  # 24-bit: assemble little-endian triples and sign-extend
+    if dtype is None:  # 24-bit: assemble little-endian triples and sign-extend
         triples = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
         value = triples[:, 0] | (triples[:, 1] << 8) | (triples[:, 2] << 16)
         value = np.where(value & 0x800000, value - 0x1000000, value)
-        flat = value.astype(np.float64) / 8388608.0
-        source = "pcm24"
+        flat = value.astype(np.float64)
+    else:
+        samples = np.frombuffer(raw, dtype=dtype)
+        # checked before the float64 cast, which warns on a signalling NaN
+        if tag == _IEEE_FLOAT and not np.isfinite(samples).all():
+            raise WavFormatError("non-finite sample (NaN or inf) in float data: %s" % path)
+        flat = samples.astype(np.float64)
+    flat /= scale
     frames = flat.reshape(-1, channels)
     sigs = tuple(Signal._wrap(frames[:, c].copy(), float(rate)) for c in range(channels))
     return AudioFile(sigs, float(rate), source)
@@ -142,11 +146,20 @@ def read_wav(path) -> AudioFile:
 
 
 def write_wav(path, s: Signal, fmt: str = "pcm16") -> int:
-    """Write a mono WAV file; returns how many samples were clipped to [-1, 1]."""
+    """Write a mono WAV file; returns how many samples were clipped to [-1, 1].
+
+    A rate that rounds below 1 Hz or needs a byte rate over 32 bits raises
+    ValueError before the file is opened.
+    """
+    if fmt not in ("pcm16", "float32"):
+        raise ValueError("unsupported write format: %r (use 'pcm16' or 'float32')" % (fmt,))
+    width = 2 if fmt == "pcm16" else 4  # bytes per sample
+    rate = int(round(s.sample_rate))
+    if not 1 <= rate <= 0xFFFFFFFF // width:
+        raise ValueError("sample rate %g Hz does not fit a %s WAV header" % (s.sample_rate, fmt))
     x = s.samples
     clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
     x = np.clip(x, -1.0, 1.0)
-    rate = int(round(s.sample_rate))
 
     if fmt == "pcm16":
         payload = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2").tobytes()
@@ -156,7 +169,7 @@ def write_wav(path, s: Signal, fmt: str = "pcm16") -> int:
             b"fmt ", 16, _PCM, 1, rate, rate * 2, 2, 16,
             b"data", len(payload),
         )
-    elif fmt == "float32":
+    else:
         payload = x.astype("<f4").tobytes()
         header = struct.pack(
             "<4sI4s4sIHHIIHHH4sII4sI",
@@ -165,8 +178,6 @@ def write_wav(path, s: Signal, fmt: str = "pcm16") -> int:
             b"fact", 4, x.size,
             b"data", len(payload),
         )
-    else:
-        raise ValueError("unsupported write format: %r (use 'pcm16' or 'float32')" % (fmt,))
 
     with open(path, "wb") as f:
         f.write(header)

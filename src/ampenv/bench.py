@@ -10,14 +10,13 @@ runtime per method.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .envelopes import (
     EnvelopeParams,
-    EnvelopeResult,
     envelope_follower,
     envelope_hilbert,
     envelope_rms,
@@ -43,7 +42,8 @@ class SyntheticSpec:
     noise as the carrier. The modulation is
     (1 + depth * sin(2 pi f_mod t)) / (1 + depth), so the true envelope
     peaks at 1; the carrier (or mixture, or noise) is normalized to peak 1
-    as well.
+    as well. ``n_samples`` is duration x rate, rounded; it is derived, not
+    passed, and must be at least 1.
     """
 
     kind: str = "am_tone"
@@ -53,6 +53,7 @@ class SyntheticSpec:
     duration_s: float = 2.0
     sample_rate_hz: float = 44100.0
     seed: int = 0
+    n_samples: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in SYNTH_KINDS:
@@ -80,14 +81,19 @@ class SyntheticSpec:
             raise ValueError("chirp_am needs (start, end) carrier frequencies")
         if self.kind == "am_tone" and len(carriers) != 1:
             raise ValueError("am_tone takes a single carrier frequency")
+        samples = float(self.duration_s) * float(self.sample_rate_hz)
+        if samples == np.inf:  # round(inf) raises OverflowError
+            raise ValueError("duration too long for sample rate: %g s at %g Hz" % (self.duration_s, self.sample_rate_hz))
+        n_samples = round(samples)
+        if n_samples < 1:
+            raise ValueError("duration too short for sample rate: no samples")
+        object.__setattr__(self, "n_samples", n_samples)
 
 
 def generate(spec: SyntheticSpec) -> tuple[Signal, Signal]:
     """Synthesize (signal, true_envelope) for a spec."""
     fs = float(spec.sample_rate_hz)
-    n = int(round(float(spec.duration_s) * fs))
-    if n < 1:
-        raise ValueError("duration too short for sample rate: no samples")
+    n = spec.n_samples
     t = np.arange(n) / fs
     depth = float(spec.depth)
     env = (1.0 + depth * np.sin(2.0 * np.pi * float(spec.modulator_hz) * t)) / (1.0 + depth)
@@ -160,16 +166,11 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _three_step(s: Signal, config) -> EnvelopeResult:
-    p = config if isinstance(config, EnvelopeParams) else EnvelopeParams(**config)
-    return three_step_envelope(s, p)
-
-
 #: Method name -> estimator(signal, config). A config is a dict of the
-#: method's ``EnvelopeResult.params`` keys (a three_step config may also be an
-#: EnvelopeParams); keys left out take the estimator's own defaults.
+#: method's ``EnvelopeResult.params`` keys; keys left out take the
+#: estimator's own defaults.
 ESTIMATORS = {
-    "three_step": _three_step,
+    "three_step": lambda s, config: three_step_envelope(s, EnvelopeParams(**config)),
     "follower": lambda s, config: envelope_follower(s, **config),
     "rms": lambda s, config: envelope_rms(s, **config),
     "hilbert": lambda s, config: envelope_hilbert(s),
@@ -272,8 +273,7 @@ def three_step_runtime_ms(
     sample_rate_hz: float = SyntheticSpec.sample_rate_hz,
     params: EnvelopeParams | None = None,
     repeats: int = RUNTIME_REPEATS,
-    warmup: int = RUNTIME_WARMUP,
 ) -> float:
     """Median runtime of the full peak-hold pipeline on a synthetic AM tone."""
     sig, _ = generate(SyntheticSpec(duration_s=duration_s, sample_rate_hz=sample_rate_hz))
-    return measure_runtime_ms(lambda: three_step_envelope(sig, params), repeats, warmup)
+    return measure_runtime_ms(lambda: three_step_envelope(sig, params), repeats)

@@ -39,21 +39,25 @@ def _resolve_params(args) -> EnvelopeParams:
     )
 
 
-def _output_plan(args, default_stem: Path) -> list[tuple[str, Path]]:
-    """Map -o/--format onto a list of (kind, path) writes."""
-    out = Path(args.output) if args.output else None
+def _output_plan(args, formats: tuple[str, str], default_stem: Path | None = None) -> list[tuple[str, Path]]:
+    """Map -o/--format onto a list of (format, path) writes.
+
+    ``formats`` holds "csv" and "wav", the command's default first (also the
+    order of --format both). Without --format, an -o suffix of .csv or .wav
+    picks the format. Each path is -o less that suffix, or ``default_stem``,
+    plus its format's suffix.
+    """
     fmt = args.format
-    if fmt is None:
-        if out is not None and out.suffix.lower() == ".wav":
-            fmt = "wav"
-        else:
-            fmt = "csv"
-    if fmt == "both":
-        base = out.with_suffix("") if out is not None else default_stem
-        return [("csv", base.with_suffix(".csv")), ("wav", base.with_suffix(".wav"))]
-    suffix = ".csv" if fmt == "csv" else ".wav"
-    path = out if out is not None else default_stem.with_suffix(suffix)
-    return [(fmt, path)]
+    stem = default_stem
+    if args.output:
+        stem = Path(args.output)
+        suffix = stem.suffix.lower()
+        if suffix in (".csv", ".wav"):
+            stem = stem.with_suffix("")
+            fmt = fmt or suffix[1:]
+    fmt = fmt or formats[0]
+    chosen = formats if fmt == "both" else (fmt,)
+    return [(f, stem.with_name(stem.name + "." + f)) for f in chosen]
 
 
 def cmd_envelope(args) -> int:
@@ -68,7 +72,7 @@ def cmd_envelope(args) -> int:
     clipped = 0
     default_stem = Path(args.input).with_suffix("")
     default_stem = default_stem.with_name(default_stem.name + "_envelope")
-    for kind, path in _output_plan(args, default_stem):
+    for kind, path in _output_plan(args, ("csv", "wav"), default_stem):
         if kind == "csv":
             write_csv(
                 path,
@@ -148,21 +152,16 @@ def cmd_synth(args) -> int:
     )
     sig, truth = generate(spec)
 
-    out = Path(args.output)
-    fmt = args.format
-    if fmt is None:
-        fmt = "csv" if out.suffix.lower() == ".csv" else "wav"
     written = []
-    if fmt in ("wav", "both"):
-        wav_path = out.with_suffix(".wav")
-        truth_path = wav_path.with_name(wav_path.stem + "_truth.wav")
-        write_wav(wav_path, sig)
-        write_wav(truth_path, truth)
-        written += [str(wav_path), str(truth_path)]
-    if fmt in ("csv", "both"):
-        csv_path = out.with_suffix(".csv")
-        write_csv(csv_path, {"signal": sig, "truth": truth})
-        written.append(str(csv_path))
+    for kind, path in _output_plan(args, ("wav", "csv")):
+        if kind == "wav":
+            truth_path = path.with_name(path.stem + "_truth.wav")
+            write_wav(path, sig)
+            write_wav(truth_path, truth)
+            written += [str(path), str(truth_path)]
+        else:
+            write_csv(path, {"signal": sig, "truth": truth})
+            written.append(str(path))
 
     print(
         "%s: %d samples @ %g Hz | wrote %s" % (args.kind, len(sig), sig.sample_rate, ", ".join(written))
@@ -172,11 +171,10 @@ def cmd_synth(args) -> int:
 
 def cmd_bench(args) -> int:
     params = EnvelopeParams(args.bunch, args.cutoff, args.order)
-    SyntheticSpec(duration_s=args.duration, sample_rate_hz=args.rate)  # validates both before the header uses them
-    n_samples = int(round(args.duration * args.rate))
+    spec = SyntheticSpec(duration_s=args.duration, sample_rate_hz=args.rate)
     print(
         "three-step pipeline: %d samples (%g s @ %g Hz), bunch=%d cutoff=%g Hz order=%d"
-        % (n_samples, args.duration, args.rate, params.bunch_size, params.cutoff_hz, params.filter_order)
+        % (spec.n_samples, args.duration, args.rate, params.bunch_size, params.cutoff_hz, params.filter_order)
     )
     measured = three_step_runtime_ms(args.duration, args.rate, params)
     print("runtime: %.3f ms (median of %d after %d warmup)" % (measured, RUNTIME_REPEATS, RUNTIME_WARMUP))

@@ -113,17 +113,13 @@ def butterworth_lowpass(spec: FilterSpec) -> FilterDesign:
     return FilterDesign(sos, n, spec.cutoff_hz, spec.sample_rate_hz)
 
 
-def frequency_response(
-    design: FilterDesign,
-    freqs_hz,
-    sample_rate_hz: float | None = None,
-) -> np.ndarray:
+def frequency_response(design: FilterDesign, freqs_hz) -> np.ndarray:
     """Complex response H(e^{j 2 pi f / fs}) at each frequency.
 
-    Computed as the product over sections. Frequencies must lie in
-    [0, Nyquist].
+    Computed as the product over sections at the design's sample rate.
+    Frequencies must lie in [0, Nyquist].
     """
-    fs = design.sample_rate_hz if sample_rate_hz is None else float(sample_rate_hz)
+    fs = design.sample_rate_hz
     f = np.atleast_1d(np.asarray(freqs_hz, dtype=np.float64))
     if f.size and (f.min() < 0.0 or f.max() > fs / 2.0):
         raise ValueError("frequency out of band: must be within [0, %g] Hz" % (fs / 2.0))

@@ -78,40 +78,31 @@ def default_pad_len(design: FilterDesign) -> int:
     return 3 * (2 * design.order + 1)
 
 
-def filtfilt_zero_phase(
-    design: FilterDesign, s: Signal, pad_len: int | None = None
-) -> Signal:
+def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
     """Zero-phase filtering: forward pass, then backward pass.
 
     The effective magnitude response is |H|^2 and the phase response is
     identically zero, so features stay time-aligned with the input. End
     transients are suppressed by odd-symmetric reflection padding
-    (``pad_len`` samples per side, default 3 * (2 * order + 1)) and by
-    starting each pass from the steady state for a step at the first padded
-    sample; constants and linear trends pass through unchanged. Needs future
-    samples, so offline use only.
+    (``default_pad_len(design)`` = 3 * (2 * order + 1) samples per side) and
+    by starting each pass from the steady state for a step at the first
+    padded sample; constants and linear trends pass through unchanged. Needs
+    future samples, so offline use only.
     """
     x = s.samples
-    pad = default_pad_len(design) if pad_len is None else int(pad_len)
-    if pad < 0:
-        raise ValueError("invalid pad length: %r" % (pad_len,))
+    pad = default_pad_len(design)
     if len(x) <= pad:
         raise ValueError(
             "signal shorter than filter transient pad (%d samples <= pad %d)"
             % (len(x), pad)
         )
-    if pad:
-        ext = np.concatenate(
-            (2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2 : -pad - 2 : -1])
-        )
-    else:
-        ext = x
+    ext = np.concatenate(
+        (2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2 : -pad - 2 : -1])
+    )
     fwd, _ = kernels.sos_filter(design.sections, ext, _step_state(design.sections, ext[0]))
     rev = fwd[::-1].copy()
     bwd, _ = kernels.sos_filter(design.sections, rev, _step_state(design.sections, rev[0]))
-    out = bwd[::-1]
-    if pad:
-        out = out[pad:-pad]
+    out = bwd[::-1][pad:-pad]
     return Signal._wrap(out.copy(), s.sample_rate)
 
 

@@ -22,7 +22,10 @@ def _positive_finite(value, message: str) -> float:
 
 
 def _positive_int(value, message: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):  # inf, NaN
+        raise ValueError(message % {"value": value}) from None
     if n != value or n < 1:
         raise ValueError(message % {"value": value})
     return n

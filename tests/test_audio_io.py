@@ -1,8 +1,11 @@
 import struct
 import uuid
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ampenv import Signal, WavFormatError, read_wav, to_mono, write_csv, write_wav
 
@@ -31,6 +34,21 @@ def float32_wav_bytes(samples, rate=44100):
         + b"WAVE"
         + b"fmt "
         + struct.pack("<IHHIIHH", 16, 3, 1, rate, rate * 4, 4, 32)
+        + b"data"
+        + struct.pack("<I", len(payload))
+        + payload
+    )
+
+
+def pcm24_wav_bytes(samples, rate=44100):
+    """Hand-assembled 24-bit PCM mono file."""
+    payload = b"".join(struct.pack("<i", v)[:3] for v in samples)  # low three little-endian bytes
+    return (
+        b"RIFF"
+        + struct.pack("<I", 36 + len(payload))
+        + b"WAVE"
+        + b"fmt "
+        + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 3, 3, 24)
         + b"data"
         + struct.pack("<I", len(payload))
         + payload
@@ -215,6 +233,60 @@ class TestReadWav:
             read_wav(tmp_path / "nope.wav")
 
 
+# Small valid files that the property tests truncate and overwrite byte by byte.
+FUZZ_BASES = {
+    "pcm16": pcm16_wav_bytes([0, 16384, -32768, 32767, -1, 7]),
+    "pcm24": pcm24_wav_bytes([0, 1, -1, 8388607, -8388608, 12345]),
+    "float32": float32_wav_bytes([0.0, 0.5, -1.0, 1.0, -0.25, 1e-3]),
+}
+PROPERTY_SETTINGS = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestReadWavProperties:
+    @PROPERTY_SETTINGS
+    @given(
+        base=st.sampled_from(sorted(FUZZ_BASES)),
+        keep=st.integers(0, 80),
+        edits=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 255)), max_size=4),
+    )
+    def test_damaged_file_raises_wav_error_or_decodes_finite(self, tmp_path, base, keep, edits):
+        data = bytearray(FUZZ_BASES[base])
+        for pos, value in edits:
+            data[pos % len(data)] = value
+        path = tmp_path / "damaged.wav"
+        path.write_bytes(bytes(data[:keep]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                audio = read_wav(path)
+            except WavFormatError:
+                return
+        for channel in audio.channels:
+            assert np.isfinite(channel.samples).all()
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(0, 3000),
+        rate=st.integers(1, 0xFFFFFFFF // 4),
+        fmt=st.sampled_from(["pcm16", "float32"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_write_read_round_trip(self, tmp_path, n, rate, fmt, seed):
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        path = tmp_path / "round_trip.wav"
+        write_wav(path, Signal(x, float(rate)), fmt)
+        back = read_wav(path)
+        assert back.source_format == fmt
+        assert back.sample_rate_hz == rate
+        if fmt == "pcm16":
+            expected = np.clip(np.rint(x * 32768.0), -32768, 32767) / 32768.0
+        else:
+            expected = x.astype(np.float32).astype(np.float64)
+        np.testing.assert_array_equal(back.channels[0].samples, expected)
+
+
 class TestWriteWav:
     def test_pcm16_round_trip_within_quantization(self, tmp_path, rng):
         x = rng.uniform(-1.0, 1.0, 1000)
@@ -253,6 +325,19 @@ class TestWriteWav:
     def test_unsupported_format(self, tmp_path):
         with pytest.raises(ValueError, match="unsupported write format"):
             write_wav(tmp_path / "x.wav", Signal([0.0], 8000.0), "pcm8")
+
+    @pytest.mark.parametrize(
+        "fmt, highest", [("pcm16", 0xFFFFFFFF // 2), ("float32", 0xFFFFFFFF // 4)]
+    )
+    def test_rate_limits_of_the_header(self, tmp_path, fmt, highest):
+        path = tmp_path / "x.wav"
+        for rate in (0.4, highest + 1.0):
+            with pytest.raises(ValueError, match="does not fit a %s WAV header" % fmt):
+                write_wav(path, Signal([0.0], rate), fmt)
+            assert not path.exists()
+        for rate, stored in ((0.6, 1.0), (float(highest), float(highest))):
+            write_wav(path, Signal([0.0], rate), fmt)
+            assert read_wav(path).sample_rate_hz == stored
 
 
 class TestWriteCsv:

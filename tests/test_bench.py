@@ -83,6 +83,26 @@ class TestGenerate:
         with pytest.raises(ValueError, match=message):
             SyntheticSpec(**kwargs)
 
+    def test_n_samples_is_rounded_duration_times_rate(self):
+        assert SyntheticSpec(duration_s=2.0, sample_rate_hz=44100.0).n_samples == 88200
+        assert SyntheticSpec(duration_s=0.01, sample_rate_hz=8000.0).n_samples == 80
+        spec = SyntheticSpec(carrier_hz=100.0, duration_s=1.6e-4, sample_rate_hz=8000.0)
+        assert spec.n_samples == 1
+        assert len(generate(spec)[0]) == 1
+
+    @pytest.mark.parametrize(
+        "duration_s, sample_rate_hz, message",
+        [
+            (1e-6, 44100.0, "duration too short for sample rate: no samples"),
+            (1e-320, 44100.0, "duration too short for sample rate: no samples"),
+            (1e300, 1e10, "duration too long for sample rate"),
+        ],
+        ids=["short", "underflow", "overflow"],
+    )
+    def test_sample_count_checked_at_construction(self, duration_s, sample_rate_hz, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(carrier_hz=1000.0, duration_s=duration_s, sample_rate_hz=sample_rate_hz)
+
 
 class TestCompareMethods:
     def test_self_comparison_is_zero(self):
@@ -151,13 +171,13 @@ class TestCompareMethods:
                 ["N=50 fc=150Hz order=4", "fc=150Hz order=4", "window=50", "-"],
             ),
             (
-                [("three_step", EnvelopeParams()), ("follower", None), ("rms", None), ("hilbert", None)],
+                [("three_step", None), ("follower", None), ("rms", None), ("hilbert", None)],
                 ["N=50 fc=150Hz order=4", "fc=150Hz order=4", "window=50", "-"],
             ),
             (
                 [
                     ("three_step", {"bunch_size": 35, "cutoff_hz": 120.0, "filter_order": 2}),
-                    ("three_step", EnvelopeParams(20, 300.0)),
+                    ("three_step", {"bunch_size": 20, "cutoff_hz": 300.0}),
                     ("follower", {"cutoff_hz": 90.5, "filter_order": 3}),
                     ("follower", {"cutoff_hz": 300}),
                     ("rms", {"window_samples": 7}),

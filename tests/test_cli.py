@@ -74,6 +74,35 @@ class TestEnvelopeCommand:
         assert expected.exists()
         assert str(expected) in stdout
 
+    @pytest.mark.parametrize(
+        "output, extra, written",
+        [
+            ("out", [], ["out.csv"]),
+            ("x.csv", ["--format", "wav"], ["x.wav"]),
+            ("x.wav", ["--format", "csv"], ["x.csv"]),
+            ("run.v2", ["--format", "both"], ["run.v2.csv", "run.v2.wav"]),
+        ],
+        ids=["no-suffix", "csv-suffix-format-wav", "wav-suffix-format-csv", "dotted-both"],
+    )
+    def test_output_takes_its_format_suffix(self, capsys, tone_wav, tmp_path, output, extra, written):
+        code, stdout, _ = run(capsys, "envelope", str(tone_wav), "-o", str(tmp_path / output), *extra)
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir() if p != tone_wav) == written
+        assert stdout.rstrip().endswith("wrote " + ", ".join(str(tmp_path / name) for name in written))
+        for name in written:
+            if name.endswith(".csv"):
+                assert (tmp_path / name).read_text().startswith("time_s,signal,abs,staircase,envelope\n")
+            else:
+                assert read_wav(tmp_path / name).n_samples == int(0.3 * 44100)
+
+    def test_default_output_name_keeps_dotted_stem(self, capsys, tone_wav):
+        dotted = tone_wav.rename(tone_wav.with_name("my.tone.wav"))
+        code, stdout, _ = run(capsys, "envelope", str(dotted))
+        assert code == 0
+        expected = dotted.with_name("my.tone_envelope.csv")
+        assert expected.exists()
+        assert str(expected) in stdout
+
     def test_missing_input_exits_1(self, capsys, tmp_path):
         missing = tmp_path / "ghost.wav"
         code, stdout, stderr = run(capsys, "envelope", str(missing))
@@ -86,6 +115,21 @@ class TestEnvelopeCommand:
         write_wav(path, Signal(np.zeros(4410), 44100.0), "float32")
         data = bytearray(path.read_bytes())
         data[-4:] = struct.pack("<f", float("nan"))  # last sample
+        path.write_bytes(bytes(data))
+        out = tmp_path / "env.csv"
+        code, stdout, stderr = run(capsys, "envelope", str(path), "-o", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("ampenv: non-finite sample")
+        assert stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_signalling_nan_float_wav_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "snan.wav"
+        write_wav(path, Signal(np.zeros(4410), 44100.0), "float32")
+        data = bytearray(path.read_bytes())
+        data[-4:] = struct.pack("<I", 0x7F800001)  # signalling NaN in the last sample
         path.write_bytes(bytes(data))
         out = tmp_path / "env.csv"
         code, stdout, stderr = run(capsys, "envelope", str(path), "-o", str(out))
@@ -189,6 +233,28 @@ class TestSynthCommand:
         table = np.genfromtxt(out, delimiter=",", names=True)
         np.testing.assert_allclose(table["truth"], 1.0, atol=1e-8)
 
+    def test_dotted_output_keeps_its_stem(self, capsys, tmp_path):
+        code, stdout, _ = run(capsys, "synth", "-o", str(tmp_path / "run.v2"), "--duration", "0.1")
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v2.wav", "run.v2_truth.wav"]
+        assert stdout.rstrip().endswith("wrote %s, %s" % (tmp_path / "run.v2.wav", tmp_path / "run.v2_truth.wav"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rate", "0.4", "--duration", "100", "--carrier", "0.1", "--modulator", "0.01"],
+            ["--rate", "1e10", "--duration", "1e-9", "--carrier", "1e6", "--modulator", "1"],
+        ],
+        ids=["rate-rounds-to-0", "byte-rate-over-32-bits"],
+    )
+    def test_rate_a_wav_header_cannot_hold_exits_2(self, capsys, tmp_path, argv):
+        code, stdout, stderr = run(capsys, "synth", "-o", str(tmp_path / "x.wav"), *argv)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("ampenv: sample rate")
+        assert stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_carrier_at_nyquist_exits_2(self, capsys, tmp_path):
         code, _, stderr = run(
             capsys, "synth", "-o", str(tmp_path / "x.wav"), "--carrier", "30000", "--rate", "44100"
@@ -242,6 +308,25 @@ def test_non_finite_synthetic_value_exits_2(capsys, tmp_path, monkeypatch, argv)
     assert stdout == ""
     assert stderr.startswith("ampenv: ")
     assert stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--duration", "1e-6"],
+        ["synth", "-o", "x.wav", "--duration", "1e300", "--rate", "1e10"],
+        ["bench", "--duration", "1e300", "--rate", "1e10"],
+    ],
+    ids=["bench-no-samples", "synth-too-many-samples", "bench-too-many-samples"],
+)
+def test_unrepresentable_sample_count_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("ampenv: duration too ")
+    assert stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestFilterDumpCommand:

@@ -151,14 +151,6 @@ class TestFiltfiltZeroPhase:
         # one past the pad is accepted
         filtfilt_zero_phase(design, Signal(np.zeros(28), 44100.0))
 
-    def test_pad_override(self):
-        design = make_design()
-        sig = Signal(np.full(500, 0.3), 44100.0)
-        out = filtfilt_zero_phase(design, sig, pad_len=120)
-        np.testing.assert_allclose(out.samples, 0.3, atol=1e-9)
-        with pytest.raises(ValueError, match="invalid pad length"):
-            filtfilt_zero_phase(design, sig, pad_len=-1)
-
 
 class TestChunkedEnvelopeStream:
     def offline(self, design, x, bunch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ampenv import BunchSpec, Signal, bunch_max, rectify
+from ampenv import BunchSpec, EnvelopeParams, FilterSpec, Signal, bunch_max, envelope_rms, rectify
 
 
 def naive_rectify(x):
@@ -152,3 +152,19 @@ class TestBunchMax:
             BunchSpec(0)
         with pytest.raises(ValueError, match="invalid bunch size"):
             bunch_max(Signal([1.0], 10.0), 0)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: BunchSpec(v), "invalid bunch size"),
+        (lambda v: FilterSpec(100.0, 44100.0, order=v), "order must be a positive integer"),
+        (lambda v: EnvelopeParams(filter_order=v), "order must be a positive integer"),
+        (lambda v: envelope_rms(Signal(np.ones(10), 10.0), window_samples=v), "invalid window"),
+    ],
+    ids=["BunchSpec", "FilterSpec", "EnvelopeParams", "envelope_rms"],
+)
+def test_positive_int_rule_rejects_non_finite(build, message, value):
+    with pytest.raises(ValueError, match=message):
+        build(value)
