@@ -145,18 +145,27 @@ def read_wav(path) -> AudioFile:
     raise WavFormatError("not a WAV file: no data chunk: %s" % path)
 
 
-def write_wav(path, s: Signal, fmt: str = "pcm16") -> int:
-    """Write a mono WAV file; returns how many samples were clipped to [-1, 1].
+def wav_header_rate(sample_rate: float, fmt: str = "pcm16") -> int:
+    """The integer rate a mono ``fmt`` WAV header stores for ``sample_rate``.
 
-    A rate that rounds below 1 Hz or needs a byte rate over 32 bits raises
-    ValueError before the file is opened.
+    Raises ValueError for an unknown format, or a rate that rounds below
+    1 Hz or needs a byte rate over 32 bits.
     """
     if fmt not in ("pcm16", "float32"):
         raise ValueError("unsupported write format: %r (use 'pcm16' or 'float32')" % (fmt,))
     width = 2 if fmt == "pcm16" else 4  # bytes per sample
-    rate = int(round(s.sample_rate))
+    rate = int(round(sample_rate))
     if not 1 <= rate <= 0xFFFFFFFF // width:
-        raise ValueError("sample rate %g Hz does not fit a %s WAV header" % (s.sample_rate, fmt))
+        raise ValueError("sample rate %g Hz does not fit a %s WAV header" % (sample_rate, fmt))
+    return rate
+
+
+def write_wav(path, s: Signal, fmt: str = "pcm16") -> int:
+    """Write a mono WAV file; returns how many samples were clipped to [-1, 1].
+
+    Checks ``wav_header_rate`` before the file is opened.
+    """
+    rate = wav_header_rate(s.sample_rate, fmt)
     x = s.samples
     clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
     x = np.clip(x, -1.0, 1.0)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import WavFormatError, read_wav, to_mono, write_csv, write_wav
+from .audio_io import WavFormatError, read_wav, to_mono, wav_header_rate, write_csv, write_wav
 from .bench import (
     REFERENCE_DURATION_S, RUNTIME_REPEATS, RUNTIME_WARMUP, SYNTH_KINDS, SyntheticSpec,
     compare_methods, generate, three_step_runtime_ms,
@@ -64,15 +64,18 @@ def cmd_envelope(args) -> int:
     audio = read_wav(args.input)
     sig = to_mono(audio, args.channel)
     params = _resolve_params(args)
+    default_stem = Path(args.input).with_suffix("")
+    default_stem = default_stem.with_name(default_stem.name + "_envelope")
+    plan = _output_plan(args, ("csv", "wav"), default_stem)
+    if any(kind == "wav" for kind, _ in plan):
+        wav_header_rate(sig.sample_rate)  # before any output file is opened
     t0 = time.perf_counter()
     rectified, staircase, envelope = three_step_stages(sig, params)
     runtime_ms = (time.perf_counter() - t0) * 1e3
 
     written = []
     clipped = 0
-    default_stem = Path(args.input).with_suffix("")
-    default_stem = default_stem.with_name(default_stem.name + "_envelope")
-    for kind, path in _output_plan(args, ("csv", "wav"), default_stem):
+    for kind, path in plan:
         if kind == "csv":
             write_csv(
                 path,

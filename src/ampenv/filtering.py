@@ -53,8 +53,15 @@ def filter_causal(
             "state dimension mismatch: state has %d sections, design has %d"
             % (state.values.shape[0], design.n_sections)
         )
-    y, zf = kernels.sos_filter(design.sections, s.samples, state.values)
-    return Signal._wrap(y, s.sample_rate), FilterState(zf)
+    x = s.samples
+    y = np.empty(len(x))
+    z = state.values
+    # The kernel runs spans this short as the recurrence, whose rounding does
+    # not depend on where a span starts: a split run reproduces the whole.
+    span = kernels.RECURRENCE_MAX
+    for start in range(0, len(x), span):
+        y[start : start + span], z = kernels.sos_filter(design.sections, x[start : start + span], z)
+    return Signal._wrap(y, s.sample_rate), FilterState(z)
 
 
 def _step_state(sections: np.ndarray, level: float) -> np.ndarray:
@@ -87,7 +94,9 @@ def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
     (``default_pad_len(design)`` = 3 * (2 * order + 1) samples per side) and
     by starting each pass from the steady state for a step at the first
     padded sample; constants and linear trends pass through unchanged. Needs
-    future samples, so offline use only.
+    future samples, so offline use only. Past ``kernels.RECURRENCE_MAX``
+    padded samples both passes run block by block as matrix products
+    (``kernels.sos_filter``), not sample by sample.
     """
     x = s.samples
     pad = default_pad_len(design)
@@ -100,7 +109,7 @@ def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
         (2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2 : -pad - 2 : -1])
     )
     fwd, _ = kernels.sos_filter(design.sections, ext, _step_state(design.sections, ext[0]))
-    rev = fwd[::-1].copy()
+    rev = fwd[::-1]
     bwd, _ = kernels.sos_filter(design.sections, rev, _step_state(design.sections, rev[0]))
     out = bwd[::-1][pad:-pad]
     return Signal._wrap(out.copy(), s.sample_rate)

@@ -146,6 +146,45 @@ class TestEnvelopeCommand:
         assert code == 2
         assert "cutoff above Nyquist" in stderr
 
+    def test_rate_a_wav_header_cannot_hold_writes_nothing(self, capsys, tmp_path):
+        # read_wav accepts any nonzero 32-bit rate; a pcm16 header holds at most 0x7FFFFFFF Hz
+        path = tmp_path / "fast.wav"
+        write_wav(path, Signal(np.linspace(-0.5, 0.5, 200), 44100.0))
+        data = bytearray(path.read_bytes())
+        data[24:28] = struct.pack("<I", 3_000_000_000)  # the fmt chunk's sample rate
+        path.write_bytes(bytes(data))
+        code, stdout, stderr = run(
+            capsys, "envelope", str(path), "-o", str(tmp_path / "out"), "--cutoff", "1e6", "--format", "both"
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "ampenv: sample rate 3e+09 Hz does not fit a pcm16 WAV header\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+
+class TestShortSignal:
+    """A signal must be longer than the zero-phase filter's pad, 27 samples at order 4."""
+
+    @pytest.mark.parametrize("command", ["envelope", "compare"])
+    @pytest.mark.parametrize("n", [1, 27])
+    def test_not_longer_than_pad_exits_2(self, capsys, tmp_path, command, n):
+        path = tmp_path / "short.wav"
+        write_wav(path, Signal(np.full(n, 0.5), 44100.0))
+        code, stdout, stderr = run(capsys, command, str(path), "-o", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "ampenv: signal shorter than filter transient pad (%d samples <= pad 27)\n" % n
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("command", ["envelope", "compare"])
+    def test_one_past_pad_exits_0(self, capsys, tmp_path, command):
+        path = tmp_path / "short.wav"
+        write_wav(path, Signal(np.full(28, 0.5), 44100.0))
+        code, _, stderr = run(capsys, command, str(path), "-o", str(tmp_path / "out.csv"))
+        assert code == 0
+        assert stderr == ""
+        assert (tmp_path / "out.csv").exists()
+
 
 class TestCompareCommand:
     def test_synthetic_defaults(self, capsys, tmp_path):

@@ -13,6 +13,7 @@ from ampenv import (
     filter_causal,
     filtfilt_zero_phase,
     frequency_response,
+    kernels,
     rectify,
 )
 from ampenv.filtering import default_pad_len
@@ -53,6 +54,16 @@ class TestFilterCausal:
         tail, _ = filter_causal(design, Signal(x[3777:], 44100.0), state)
         stitched = np.concatenate((head.samples, tail.samples))
         np.testing.assert_allclose(stitched, whole.samples, rtol=1e-12, atol=0.0)
+
+    def test_long_input_is_the_exact_recurrence(self, rng):
+        # Longer than the spans the kernel runs sample by sample.
+        design = make_design()
+        x = rng.standard_normal(3 * kernels.RECURRENCE_MAX + 17)
+        state = FilterState(rng.standard_normal((2, 2)))
+        out, final = filter_causal(design, Signal(x, 44100.0), state)
+        y, zf = kernels.sos_recurrence(design.sections, x, state.values)
+        np.testing.assert_array_equal(out.samples, y)
+        np.testing.assert_array_equal(final.values, zf)
 
     def test_linearity(self, rng):
         design = make_design()
@@ -138,6 +149,17 @@ class TestFiltfiltZeroPhase:
             (design.sections[:, :3], np.ones(2), design.sections[:, 3:])
         )
         theirs = sps.sosfiltfilt(sos, x, padlen=default_pad_len(design))
+        np.testing.assert_allclose(ours, theirs, rtol=1e-9, atol=1e-12)
+
+    def test_one_past_the_pad_matches_scipy_sosfiltfilt(self, rng):
+        design = make_design(cutoff=1000.0)
+        pad = default_pad_len(design)
+        x = rng.standard_normal(pad + 1)
+        ours = filtfilt_zero_phase(design, Signal(x, 44100.0)).samples
+        sos = np.column_stack(
+            (design.sections[:, :3], np.ones(2), design.sections[:, 3:])
+        )
+        theirs = sps.sosfiltfilt(sos, x, padlen=pad)
         np.testing.assert_allclose(ours, theirs, rtol=1e-9, atol=1e-12)
 
     def test_default_pad_len(self):
