@@ -229,6 +229,8 @@ def write_csv(path, signals) -> None:
 def to_mono(audio: AudioFile, mode="mean") -> Signal:
     """Collapse to one channel: samplewise mean, or pick a channel by index."""
     if mode == "mean":
+        if audio.n_channels == 1:  # the mean of one channel is that channel
+            return audio.channels[0]
         stacked = np.stack([ch.samples for ch in audio.channels])
         return Signal._wrap(stacked.mean(axis=0), audio.sample_rate_hz)
     try:

@@ -71,6 +71,7 @@ class FilterDesign:
 
 
 _STABILITY_MARGIN = 1e-12
+_RESOLUTION = 1e-12
 
 
 def butterworth_lowpass(spec: FilterSpec) -> FilterDesign:
@@ -99,10 +100,18 @@ def butterworth_lowpass(spec: FilterSpec) -> FilterDesign:
         ordered.append((abs(p), [1.0, 1.0, 0.0, -p, 0.0]))
     ordered.sort(key=lambda item: item[0], reverse=True)
 
-    for radius, _ in ordered:
+    for radius, (_, _, _, a1, a2) in ordered:
         if radius >= 1.0 - _STABILITY_MARGIN:
             raise ValueError(
                 "unstable filter design: pole radius %.17g for %r" % (radius, spec)
+            )
+        # A section's 1 + a1 + a2 sets its DC gain, and a pair's a2 - a1^2/4
+        # is its poles' imaginary part squared. Rounding a1 and a2 moves each
+        # by ~4e-16: below _RESOLUTION that error exceeds 0.04%, and at 0 the
+        # DC gain is infinite or the pair has collapsed onto the real axis.
+        if min(1.0 + a1 + a2, a2 - a1 * a1 / 4.0 if a2 else 1.0) < _RESOLUTION:
+            raise ValueError(
+                "cutoff not realisable in float64: %r rounds a pole pair away" % (spec,)
             )
 
     sos = np.array([section for _, section in ordered], dtype=np.float64)

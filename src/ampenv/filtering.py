@@ -9,7 +9,7 @@ data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -21,9 +21,19 @@ from .signals import BunchSpec, Signal, bunch_max, rectify
 
 @dataclass(frozen=True, eq=False)
 class FilterState:
-    """Delay-line values of the cascade, one (s0, s1) pair per section."""
+    """Delay-line values of the cascade, one (s0, s1) pair per section.
+
+    ``values`` is the state at the current sample. A state returned by
+    ``filter_causal`` also carries, privately, the inputs of the block the
+    stream is in and the state at that block's start, so the next call
+    continues on the same block grid, with the design that produced it.
+    ``FilterState(values)`` starts a new grid at that sample; it is also the
+    way to hand the delay line to another design.
+    """
 
     values: np.ndarray
+    _start: np.ndarray = field(init=False, repr=False)
+    _open: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.float64)
@@ -31,10 +41,21 @@ class FilterState:
             raise ValueError("state must have shape (n_sections, 2)")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_start", arr)
+        object.__setattr__(self, "_open", np.empty(0))
 
     @classmethod
     def zeros(cls, design: FilterDesign) -> "FilterState":
         return cls(np.zeros((design.n_sections, 2)))
+
+    @classmethod
+    def _mid_block(cls, values, start: np.ndarray, inputs: np.ndarray) -> "FilterState":
+        # Internal constructor: the state ``values`` after ``inputs`` of a
+        # block that began in state ``start``.
+        state = cls(values)
+        object.__setattr__(state, "_start", start)
+        object.__setattr__(state, "_open", inputs)
+        return state
 
 
 def filter_causal(
@@ -43,8 +64,9 @@ def filter_causal(
     """Single-pass forward filtering; returns (output, final state).
 
     Feeding the returned state into the next call continues seamlessly:
-    filtering two chunks with carried state equals filtering their
-    concatenation with a fresh state.
+    filtering two chunks with carried state reproduces, bit for bit, the
+    output and final state of filtering their concatenation with a fresh
+    state.
     """
     if state is None:
         state = FilterState.zeros(design)
@@ -53,15 +75,20 @@ def filter_causal(
             "state dimension mismatch: state has %d sections, design has %d"
             % (state.values.shape[0], design.n_sections)
         )
-    x = s.samples
+    # Blocks sit on the stream's sample grid: the open block's inputs are run
+    # again from its start state, and their outputs dropped.
+    x = np.concatenate((state._open, s.samples))
+    full = len(x) - len(x) % kernels.BLOCK  # samples in whole blocks
     y = np.empty(len(x))
-    z = state.values
-    # The kernel runs spans this short as the recurrence, whose rounding does
-    # not depend on where a span starts: a split run reproduces the whole.
-    span = kernels.RECURRENCE_MAX
-    for start in range(0, len(x), span):
-        y[start : start + span], z = kernels.sos_filter(design.sections, x[start : start + span], z)
-    return Signal._wrap(y, s.sample_rate), FilterState(z)
+    z = state._start
+    for i in range(0, full, kernels.CARRY_SPAN):
+        j = min(i + kernels.CARRY_SPAN, full)
+        y[i:j], z = kernels.sos_filter(design.sections, x[i:j], z)
+    block_start = z
+    if full < len(x):
+        y[full:], z = kernels.sos_filter(design.sections, x[full:], z)
+    final = FilterState._mid_block(z, block_start, x[full:].copy())
+    return Signal._wrap(y[len(state._open) :], s.sample_rate), final
 
 
 def _step_state(sections: np.ndarray, level: float) -> np.ndarray:
@@ -94,9 +121,8 @@ def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
     (``default_pad_len(design)`` = 3 * (2 * order + 1) samples per side) and
     by starting each pass from the steady state for a step at the first
     padded sample; constants and linear trends pass through unchanged. Needs
-    future samples, so offline use only. Past ``kernels.RECURRENCE_MAX``
-    padded samples both passes run block by block as matrix products
-    (``kernels.sos_filter``), not sample by sample.
+    future samples, so offline use only. Both passes run as matrix
+    products over blocks (``kernels.sos_filter``), not sample by sample.
     """
     x = s.samples
     pad = default_pad_len(design)

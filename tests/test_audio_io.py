@@ -412,6 +412,14 @@ class TestToMono:
             to_mono(audio, "mean").samples, audio.channels[0].samples
         )
 
+    def test_mono_mean_makes_no_copy(self, tmp_path):
+        path = tmp_path / "mono.wav"
+        path.write_bytes(pcm16_wav_bytes([100, -100, 3000]))
+        audio = read_wav(path)
+        mono = to_mono(audio, "mean")
+        assert np.shares_memory(mono.samples, audio.channels[0].samples)
+        np.testing.assert_array_equal(mono.samples, [100 / 32768, -100 / 32768, 3000 / 32768])
+
     def test_opposite_channels_cancel(self, tmp_path):
         audio = self.read_stereo(tmp_path, [5000, -700], [-5000, 700])
         np.testing.assert_array_equal(to_mono(audio, "mean").samples, [0.0, 0.0])

@@ -146,6 +146,16 @@ class TestEnvelopeCommand:
         assert code == 2
         assert "cutoff above Nyquist" in stderr
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cutoff", ["1e-7", "22049.99995"])
+    def test_cutoff_float64_cannot_realise_exits_2_with_one_line(self, capsys, tone_wav, tmp_path, cutoff):
+        code, _, stderr = run(
+            capsys, "envelope", str(tone_wav), "-o", str(tmp_path / "x.csv"), "--cutoff", cutoff
+        )
+        assert code == 2
+        assert stderr.startswith("ampenv: cutoff not realisable in float64") and stderr.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
     def test_rate_a_wav_header_cannot_hold_writes_nothing(self, capsys, tmp_path):
         # read_wav accepts any nonzero 32-bit rate; a pcm16 header holds at most 0x7FFFFFFF Hz
         path = tmp_path / "fast.wav"

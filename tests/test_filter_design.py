@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
-from ampenv import FilterSpec, butterworth_lowpass, frequency_response
+from ampenv import (
+    FilterSpec,
+    Signal,
+    butterworth_lowpass,
+    filter_causal,
+    filtfilt_zero_phase,
+    frequency_response,
+    kernels,
+)
 
 
 def analog_butterworth_magnitude(f, cutoff, order):
@@ -116,3 +124,25 @@ class TestValidation:
             frequency_response(design, [23000.0])
         with pytest.raises(ValueError, match="frequency out of band"):
             frequency_response(design, [-1.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rate", [8000.0, 44100.0])
+    @pytest.mark.parametrize("order", [2, 4, 8])
+    def test_cutoffs_float64_cannot_realise_are_rejected(self, rate, order):
+        # Rounding a1 and a2 zeroes 1 + a1 + a2 (an infinite DC gain) or a
+        # pair's imaginary part; either is a one-line ValueError, never a
+        # warning or a garbage filter. The last two cutoffs are realisable.
+        x = Signal(np.abs(np.random.default_rng(order).standard_normal(kernels.CARRY_SPAN + 300)), rate)
+        nyquist = rate / 2.0
+        cutoffs = [1e-7, 1e-6, 1e-5, 1e-4, 2e-4]
+        cutoffs += [nyquist - d for d in (1e-4, 5e-5, 1e-5, 1e-6)]
+        cutoffs += [0.05, nyquist - 0.05]
+        for cutoff in cutoffs:
+            try:
+                design = butterworth_lowpass(FilterSpec(cutoff, rate, order))
+            except ValueError as exc:
+                assert "\n" not in str(exc)
+                continue
+            assert cutoff in cutoffs[-2:]
+            filtfilt_zero_phase(design, x)  # the scan
+            filter_causal(design, x)  # the block-by-block carry

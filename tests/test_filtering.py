@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import has_extended_precision, recurrence
 from scipy import signal as sps
 
 from ampenv import (
@@ -16,11 +19,21 @@ from ampenv import (
     kernels,
     rectify,
 )
-from ampenv.filtering import default_pad_len
+from ampenv.filtering import _step_state, default_pad_len
 
 
 def make_design(cutoff=150.0, rate=44100.0, order=4):
     return butterworth_lowpass(FilterSpec(cutoff, rate, order))
+
+
+def filter_in_parts(design, s, state, cuts):
+    """filter_causal over s cut at the sorted sample indices ``cuts``, state carried."""
+    bounds = [0, *cuts, len(s)]
+    parts = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        out, state = filter_causal(design, Signal(s.samples[a:b], s.sample_rate), state)
+        parts.append(out.samples)
+    return np.concatenate(parts), state
 
 
 def zero_lag_of_peak_xcorr(a, b):
@@ -55,15 +68,65 @@ class TestFilterCausal:
         stitched = np.concatenate((head.samples, tail.samples))
         np.testing.assert_allclose(stitched, whole.samples, rtol=1e-12, atol=0.0)
 
-    def test_long_input_is_the_exact_recurrence(self, rng):
-        # Longer than the spans the kernel runs sample by sample.
+    def test_split_equals_whole_bitwise(self, rng):
+        # Cuts inside a block, on a block edge and on both sides of the
+        # kernel's span edge, from a random state.
         design = make_design()
-        x = rng.standard_normal(3 * kernels.RECURRENCE_MAX + 17)
-        state = FilterState(rng.standard_normal((2, 2)))
-        out, final = filter_causal(design, Signal(x, 44100.0), state)
-        y, zf = kernels.sos_recurrence(design.sections, x, state.values)
-        np.testing.assert_array_equal(out.samples, y)
-        np.testing.assert_array_equal(final.values, zf)
+        block, span = kernels.BLOCK, kernels.CARRY_SPAN
+        x = rng.standard_normal(2 * span + 3 * block + 17)
+        start = FilterState(rng.standard_normal((2, 2)))
+        whole, whole_state = filter_causal(design, Signal(x, 44100.0), start)
+        cuts = [5, block // 2, block, span - 3, span + 9, 2 * span + 1]
+        parts, state = filter_in_parts(design, Signal(x, 44100.0), start, cuts)
+        np.testing.assert_array_equal(parts, whole.samples)
+        np.testing.assert_array_equal(state.values, whole_state.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.integers(1, 8),
+        cutoff_frac=st.floats(0.0, 1.0),
+        n=st.integers(1, 3000),
+        cut_fracs=st.lists(st.floats(0.0, 1.0), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_equals_whole_bitwise_for_any_design(self, order, cutoff_frac, n, cut_fracs, seed):
+        rate = 8000.0
+        cutoff = 5.0 * (0.4 * rate / 5.0) ** cutoff_frac  # 5 Hz to 0.4 fs, log-spaced
+        design = make_design(cutoff=cutoff, rate=rate, order=order)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        start = FilterState(rng.standard_normal((design.n_sections, 2)))
+        whole, whole_state = filter_causal(design, Signal(x, rate), start)
+        cuts = sorted(int(f * n) for f in cut_fracs)
+        parts, state = filter_in_parts(design, Signal(x, rate), start, cuts)
+        np.testing.assert_array_equal(parts, whole.samples)
+        np.testing.assert_array_equal(state.values, whole_state.values)
+
+    @pytest.mark.skipif(
+        not has_extended_precision,
+        reason="np.longdouble is float64 here, so there is no extended-precision reference",
+    )
+    @pytest.mark.parametrize("cutoff, order", [(1.0, 4), (5.0, 4), (20.0, 8), (150.0, 16)])
+    def test_within_the_recurrence_of_a_long_double_reference(self, cutoff, order, rng):
+        design = make_design(cutoff=cutoff, order=order)
+        x = np.abs(rng.standard_normal(12000))
+        zi = _step_state(design.sections, x[0])
+        reference, _ = recurrence(design.sections, x, zi, np.longdouble)
+        scale = np.max(np.abs(reference))
+        out, _ = filter_causal(design, Signal(x, 44100.0), FilterState(zi))
+        blocked = float(np.max(np.abs(out.samples - reference)) / scale)
+        sequential = float(np.max(np.abs(recurrence(design.sections, x, zi)[0] - reference)) / scale)
+        assert blocked <= sequential
+
+    def test_continuing_from_the_public_values_alone(self, rng):
+        # FilterState(values) drops the block grid, so only rounding differs.
+        design = make_design(cutoff=20.0)
+        x = rng.standard_normal(5000)
+        whole, _ = filter_causal(design, Signal(x, 44100.0))
+        head, state = filter_causal(design, Signal(x[:1234], 44100.0))
+        tail, _ = filter_causal(design, Signal(x[1234:], 44100.0), FilterState(state.values))
+        stitched = np.concatenate((head.samples, tail.samples))
+        assert np.max(np.abs(stitched - whole.samples)) <= 1e-12 * np.max(np.abs(whole.samples))
 
     def test_linearity(self, rng):
         design = make_design()
@@ -82,6 +145,12 @@ class TestFilterCausal:
         bad = FilterState(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="state dimension mismatch"):
             filter_causal(design, Signal(np.zeros(10), 44100.0), bad)
+
+    def test_state_of_another_design_mismatch(self, rng):
+        # A returned state also carries its open block; the check still holds.
+        _, state = filter_causal(make_design(order=8), Signal(rng.standard_normal(200), 44100.0))
+        with pytest.raises(ValueError, match="state dimension mismatch"):
+            filter_causal(make_design(order=4), Signal(np.zeros(10), 44100.0), state)
 
     def test_matches_scipy_sosfilt(self, rng):
         design = make_design()
