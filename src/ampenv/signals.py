@@ -107,8 +107,8 @@ def bunch_max(s: Signal, spec: BunchSpec | int) -> Signal:
     m = x.shape[0]
     full = m // n
     out = np.empty(m, dtype=np.float64)
-    if full:
-        out[: full * n] = np.repeat(x[: full * n].reshape(full, n).max(axis=1), n)
+    if full:  # each bunch's maximum, broadcast along its row
+        out[: full * n].reshape(full, n)[:] = x[: full * n].reshape(full, n).max(axis=1, keepdims=True)
     if full * n < m:
         out[full * n :] = x[full * n :].max()
     return Signal._wrap(out, s.sample_rate)

@@ -23,3 +23,19 @@ def recurrence(sos, x, zi, dtype=np.float64):
 
 
 has_extended_precision = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+
+
+def printf_csv(signals) -> bytes:
+    """The CSV of ``signals`` as printf writes it, one ``%.9g`` per value, row by row.
+
+    ``signals`` is a dict or (name, Signal) pairs sharing length and rate;
+    the first column is time_s = index / rate. The reference the vectorised
+    ``write_csv`` is held to, byte for byte.
+    """
+    items = list(signals.items()) if isinstance(signals, dict) else list(signals)
+    sigs = [sig for _, sig in items]
+    n, rate = len(sigs[0]), sigs[0].sample_rate
+    row = ",".join(["%.9g"] * (len(sigs) + 1)) + "\n"
+    table = np.column_stack([np.arange(n) / rate] + [sig.samples for sig in sigs])
+    header = "time_s," + ",".join(name for name, _ in items) + "\n"
+    return (header + "".join(row % tuple(values) for values in table.tolist())).encode()

@@ -179,6 +179,19 @@ class TestReadWav:
         with pytest.raises(WavFormatError, match="truncated file"):
             read_wav(path)
 
+    @pytest.mark.parametrize("size", [0, 0xFFFFFFFF])
+    @pytest.mark.parametrize("tail", [b"", b"\x01"])
+    def test_streamed_data_size_runs_to_the_end(self, tmp_path, size, tail):
+        # A streaming writer leaves the data size 0 or 0xFFFFFFFF; the
+        # samples are the whole frames up to the end of the file.
+        samples = [0, 16384, -32768, 5]
+        data = bytearray(pcm16_wav_bytes(samples) + tail)
+        struct.pack_into("<I", data, 40, size)
+        path = tmp_path / "streamed.wav"
+        path.write_bytes(bytes(data))
+        audio = read_wav(path)
+        np.testing.assert_array_equal(audio.channels[0].samples, np.array(samples) / 32768.0)
+
     def test_data_before_fmt_rejected(self, tmp_path):
         body = b"WAVE" + b"data" + struct.pack("<I", 2) + b"\x00\x00"
         path = tmp_path / "nofmt.wav"

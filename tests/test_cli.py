@@ -196,6 +196,18 @@ class TestShortSignal:
         assert (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("size", [0, 0xFFFFFFFF])
+def test_streamed_wav_envelope_exits_0(capsys, tone_wav, tmp_path, size):
+    data = bytearray(tone_wav.read_bytes())
+    struct.pack_into("<I", data, 40, size)  # the data chunk's size field
+    streamed = tmp_path / "streamed.wav"
+    streamed.write_bytes(bytes(data))
+    code, _, stderr = run(capsys, "envelope", str(streamed), "-o", str(tmp_path / "s.csv"))
+    assert (code, stderr) == (0, "")
+    run(capsys, "envelope", str(tone_wav), "-o", str(tmp_path / "whole.csv"))
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 class TestCompareCommand:
     def test_synthetic_defaults(self, capsys, tmp_path):
         out = tmp_path / "report.csv"

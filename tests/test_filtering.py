@@ -164,6 +164,20 @@ class TestFilterCausal:
 
 
 class TestFiltfiltZeroPhase:
+    def test_short_input_runs_the_scan(self, rng):
+        # 4,410 samples pad to 4,464, short enough for the carry; the offline
+        # passes take the scan at every length, bit for bit.
+        design = make_design()
+        x = rng.standard_normal(4410)
+        pad = default_pad_len(design)
+        ext = np.concatenate((2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2 : -pad - 2 : -1]))
+        sos = design.sections
+        fwd, _ = kernels._sos_scanned(sos, ext, _step_state(sos, ext[0]))
+        rev = fwd[::-1]
+        bwd, _ = kernels._sos_scanned(sos, rev, _step_state(sos, rev[0]))
+        out = filtfilt_zero_phase(design, Signal(x, 44100.0))
+        np.testing.assert_array_equal(out.samples, bwd[::-1][pad:-pad])
+
     def test_constant_preserved(self):
         design = make_design()
         out = filtfilt_zero_phase(design, Signal(np.full(2000, 0.8), 44100.0))

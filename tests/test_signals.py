@@ -100,6 +100,17 @@ class TestBunchMax:
         np.testing.assert_array_equal(out.samples, naive_bunch_max(x, 3))
         assert out.samples[6] == x[6]  # single-sample trailing bunch is its own max
 
+    @pytest.mark.parametrize("length, n", [(600, 200), (1000, 200), (44100, 35), (44117, 35), (9, 1)])
+    def test_equals_the_repeat_form(self, length, n, rng):
+        # With and without a trailing partial bunch.
+        x = rng.standard_normal(length)
+        full = length // n
+        expected = np.empty(length)
+        expected[: full * n] = np.repeat(x[: full * n].reshape(full, n).max(axis=1), n)
+        if full * n < length:
+            expected[full * n :] = x[full * n :].max()
+        np.testing.assert_array_equal(bunch_max(Signal(x, 10.0), n).samples, expected)
+
     def test_oracle_equivalence_1000_random(self):
         rng = np.random.default_rng(1234)
         for _ in range(1000):
