@@ -15,7 +15,6 @@ budget. Errors are a single line on stderr; success writes nothing there.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import time
 from pathlib import Path
@@ -62,8 +61,8 @@ def _output_plan(args, formats: tuple[str, str], default_stem: Path | None = Non
 
 
 def cmd_envelope(args) -> int:
-    audio = read_wav(args.input)
-    sig = to_mono(audio, args.channel)
+    # Only the mixdown, not every decoded channel, is held through the pipeline.
+    sig = to_mono(read_wav(args.input), args.channel)
     params = _resolve_params(args)
     default_stem = Path(args.input).with_suffix("")
     default_stem = default_stem.with_name(default_stem.name + "_envelope")
@@ -215,11 +214,7 @@ def cmd_filter_dump(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # Built once per process; parsing leaves it unchanged. A parser is a web
-    # of reference cycles that only the cyclic collector frees, so building
-    # one per main() call left ~370 objects of garbage per call.
     parser = argparse.ArgumentParser(
         prog="ampenv", description="Amplitude envelope estimation and comparison."
     )

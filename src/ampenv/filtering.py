@@ -83,10 +83,10 @@ def filter_causal(
     z = state._start
     for i in range(0, full, kernels.CARRY_SPAN):
         j = min(i + kernels.CARRY_SPAN, full)
-        y[i:j], z = kernels.sos_filter(design.sections, x[i:j], z, carry=True)
+        y[i:j], z = kernels.sos_filter(design.sections, x[i:j], z)
     block_start = z
     if full < len(x):
-        y[full:], z = kernels.sos_filter(design.sections, x[full:], z, carry=True)
+        y[full:], z = kernels.sos_filter(design.sections, x[full:], z)
     final = FilterState._mid_block(z, block_start, x[full:].copy())
     return Signal._wrap(y[len(state._open) :], s.sample_rate), final
 

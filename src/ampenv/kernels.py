@@ -9,18 +9,20 @@ impulse response times the block's input, plus an observability matrix
 times the state at the block's start. The operators are built once per
 design in ``np.longdouble`` and rounded once to float64.
 
-The state is carried across blocks in one of two ways, chosen by the caller:
+The state is carried across blocks in one of two ways, chosen by the
+input's length:
 
-- ``filter_causal``, and so streaming, asks for the carry
-  (``_sos_carried``): the state steps from block to block. Each block's end
-  state is taken to the (s0, s1) delay-pair basis that callers pass in
-  ``zi``, and back, and each block's output is its own small product. A
-  block's results then depend only on its inputs and its start state,
-  never on where a call starts, so a run cut on the block grid reproduces
-  the uncut run bit for bit.
-- Every other pass, such as the two of ``filtfilt_zero_phase``, sums the
+- The spans ``filter_causal`` feeds, whole blocks of at most ``CARRY_SPAN``
+  samples and remainders shorter than one block, step from block to block
+  (``_sos_carried``). Each block's end state is taken to the (s0, s1)
+  delay-pair basis that callers pass in ``zi``, and back, and each block's
+  output is its own small product. A block's results then depend only on
+  its inputs and its start state, never on where a call starts, so
+  ``filter_causal`` and streaming reproduce an uncut run bit for bit.
+- Other lengths, which include the two passes of ``filtfilt_zero_phase``
+  unless their padded input happens to be block-aligned, sum the
   block-start states by doubling (a Hillis-Steele scan, ``_sos_scanned``)
-  and takes every block's output from one matrix product. That avoids a
+  and take every block's output from one matrix product. That avoids a
   Python step per block, 3-5x faster, but a block's rounding then depends
   on where it sits in the input.
 """
@@ -32,7 +34,7 @@ import functools
 import numpy as np
 
 BLOCK = 128  # samples per block, a power of two: A^BLOCK is a repeated square
-CARRY_SPAN = 64 * BLOCK  # filter_causal feeds the carry block-aligned spans this long
+CARRY_SPAN = 64 * BLOCK  # the longest block-aligned span filter_causal feeds
 _SCAN_STEPS = 48  # block-transition powers kept: the scan covers 2^48 blocks
 
 
@@ -201,17 +203,17 @@ def _key(sos: np.ndarray) -> bytes:
     return np.ascontiguousarray(sos, dtype=np.float64).tobytes()
 
 
-def sos_filter(sos: np.ndarray, x: np.ndarray, zi: np.ndarray, *, carry: bool = False):
+def sos_filter(sos: np.ndarray, x: np.ndarray, zi: np.ndarray):
     """Run the biquad cascade over x; returns (output, final state).
 
     ``sos`` rows are (b0, b1, b2, a1, a2) with a0 = 1; ``zi`` has one
-    (s0, s1) delay pair per section (transposed direct-form II). With
-    ``carry`` the state steps block by block, so that runs cut on the block
-    grid reproduce the uncut run bit for bit; without it the scan runs. x
-    may be a strided view. Inputs are not mutated.
+    (s0, s1) delay pair per section (transposed direct-form II). Inputs
+    shorter than a block, or of whole blocks up to ``CARRY_SPAN`` samples,
+    carry the state block by block; other lengths run the scan. x may be a
+    strided view. Inputs are not mutated.
     """
     if not len(x):
         return np.empty(0), np.array(zi, dtype=np.float64)
-    if carry:
+    if len(x) < BLOCK or (len(x) <= CARRY_SPAN and not len(x) % BLOCK):
         return _sos_carried(sos, x, zi)
     return _sos_scanned(sos, x, zi)

@@ -124,6 +124,19 @@ def test_block_edges_equal_printf(tmp_path, rng):
         assert path.read_bytes() == printf_csv(columns)
 
 
+@pytest.mark.parametrize("columns, rate", [(8, 44100.0), (1, 7e-300)])
+def test_blocks_of_the_longest_fields_equal_printf(tmp_path, columns, rate):
+    # Exponent-notation fields of 17 bytes, such as "-1.23456789e-200,",
+    # filling whole blocks; at 7e-300 Hz the times print as 1.42857143e+299 and so on.
+    from ampenv.audio_io import _CSV_BLOCK
+
+    n = 2 * _CSV_BLOCK + 3
+    signals = {"c%d" % i: Signal(np.full(n, -1.23456789e-200 * (i + 1)), rate) for i in range(columns)}
+    path = tmp_path / "long.csv"
+    write_csv(path, signals)
+    assert path.read_bytes() == printf_csv(signals)
+
+
 def _decimal_ties():
     # K / 2^j with K odd has K * 5^j as its digits, ending in 5: ten of them
     # make a value exactly halfway between two 9-digit decimals.

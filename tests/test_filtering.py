@@ -165,8 +165,8 @@ class TestFilterCausal:
 
 class TestFiltfiltZeroPhase:
     def test_short_input_runs_the_scan(self, rng):
-        # 4,410 samples pad to 4,464, short enough for the carry; the offline
-        # passes take the scan at every length, bit for bit.
+        # 4,410 samples pad to 4,464, not a whole number of blocks, so both
+        # passes take the scan, bit for bit.
         design = make_design()
         x = rng.standard_normal(4410)
         pad = default_pad_len(design)

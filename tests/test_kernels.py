@@ -53,51 +53,63 @@ def test_carried_runs_cut_on_the_block_grid_reproduce_the_uncut_run(rng):
     sos = sections(20.0)
     x = rng.standard_normal(CARRY_SPAN)
     zi = rng.standard_normal((2, 2))
-    whole, whole_zf = kernels.sos_filter(sos, x, zi, carry=True)
+    whole, whole_zf = kernels.sos_filter(sos, x, zi)
     for cut in (BLOCK, 7 * BLOCK, CARRY_SPAN - BLOCK):
-        head, zf = kernels.sos_filter(sos, x[:cut], zi, carry=True)
-        tail, zf = kernels.sos_filter(sos, x[cut:], zf, carry=True)
+        head, zf = kernels.sos_filter(sos, x[:cut], zi)
+        tail, zf = kernels.sos_filter(sos, x[cut:], zf)
         np.testing.assert_array_equal(np.concatenate((head, tail)), whole)
         np.testing.assert_array_equal(zf, whole_zf)
 
 
+@pytest.mark.parametrize(
+    "n, carried",
+    [(1, True), (BLOCK - 1, True), (BLOCK, True), (5 * BLOCK, True), (CARRY_SPAN, True),
+     (BLOCK + 1, False), (4464, False), (CARRY_SPAN + BLOCK, False)],
+)
+def test_block_aligned_spans_and_short_remainders_carry(n, carried, rng):
+    # filter_causal feeds whole blocks up to CARRY_SPAN and remainders
+    # shorter than a block; every other length takes the scan.
+    sos = sections(150.0)
+    x = rng.standard_normal(n)
+    zi = rng.standard_normal((2, 2))
+    expected = (kernels._sos_carried if carried else kernels._sos_scanned)(sos, x, zi)
+    for got, want in zip(kernels.sos_filter(sos, x, zi), expected):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_zero_input_and_state_give_exact_zero():
     sos = sections(150.0)
-    for n in (3 * BLOCK + 5, CARRY_SPAN + 3 * BLOCK + 5):
-        for carry in (False, True):
-            y, zf = kernels.sos_filter(sos, np.zeros(n), np.zeros((2, 2)), carry=carry)
-            np.testing.assert_array_equal(y, np.zeros(n))
-            np.testing.assert_array_equal(zf, np.zeros((2, 2)))
+    for n in (3 * BLOCK, 3 * BLOCK + 5):
+        y, zf = kernels.sos_filter(sos, np.zeros(n), np.zeros((2, 2)))
+        np.testing.assert_array_equal(y, np.zeros(n))
+        np.testing.assert_array_equal(zf, np.zeros((2, 2)))
 
 
 def test_inputs_not_mutated(rng):
     sos = sections(150.0)
     for n in (4 * BLOCK, CARRY_SPAN + 4 * BLOCK):
-        for carry in (False, True):
-            x = rng.standard_normal(n)
-            zi = _step_state(sos, x[0])
-            x_before, zi_before = x.copy(), zi.copy()
-            kernels.sos_filter(sos, x, zi, carry=carry)
-            np.testing.assert_array_equal(x, x_before)
-            np.testing.assert_array_equal(zi, zi_before)
+        x = rng.standard_normal(n)
+        zi = _step_state(sos, x[0])
+        x_before, zi_before = x.copy(), zi.copy()
+        kernels.sos_filter(sos, x, zi)
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(zi, zi_before)
 
 
 def test_reversed_view_matches_copy(rng):
     sos = sections(20.0)
-    for n in (4 * BLOCK + 3, CARRY_SPAN + 4 * BLOCK + 3):
-        for carry in (False, True):
-            x = rng.standard_normal(n)
-            zi = _step_state(sos, x[-1])
-            view, view_zf = kernels.sos_filter(sos, x[::-1], zi, carry=carry)
-            copy, copy_zf = kernels.sos_filter(sos, x[::-1].copy(), zi, carry=carry)
-            np.testing.assert_array_equal(view, copy)
-            np.testing.assert_array_equal(view_zf, copy_zf)
+    for n in (4 * BLOCK, 4 * BLOCK + 3):
+        x = rng.standard_normal(n)
+        zi = _step_state(sos, x[-1])
+        view, view_zf = kernels.sos_filter(sos, x[::-1], zi)
+        copy, copy_zf = kernels.sos_filter(sos, x[::-1].copy(), zi)
+        np.testing.assert_array_equal(view, copy)
+        np.testing.assert_array_equal(view_zf, copy_zf)
 
 
 def test_empty_input_keeps_the_state():
     sos = sections(150.0)
     zi = _step_state(sos, 0.3)
-    for carry in (False, True):
-        y, zf = kernels.sos_filter(sos, np.zeros(0), zi, carry=carry)
-        assert y.shape == (0,)
-        np.testing.assert_array_equal(zf, zi)
+    y, zf = kernels.sos_filter(sos, np.zeros(0), zi)
+    assert y.shape == (0,)
+    np.testing.assert_array_equal(zf, zi)
