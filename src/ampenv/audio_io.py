@@ -100,24 +100,27 @@ def _parse_fmt(buf: bytes, offset: int, size: int, path) -> tuple[int, int, int,
     return tag, channels, rate, bits
 
 
-def _decode(raw: bytes, tag: int, channels: int, rate: int, bits: int, path) -> AudioFile:
+def _decode(data: bytes, offset: int, size: int, tag: int, channels: int, rate: int, bits: int, path) -> AudioFile:
+    """Decode the whole frames in the ``size`` bytes at ``offset`` in ``data``, reading them where they lie."""
     source, dtype, scale = _SAMPLE_FORMATS[tag, bits]
-    frame = (bits // 8) * channels
-    raw = raw[: (len(raw) // frame) * frame]  # drop any partial trailing frame
-    if dtype is None:  # 24-bit: assemble little-endian triples and sign-extend
-        triples = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        value = triples[:, 0] | (triples[:, 1] << 8) | (triples[:, 2] << 16)
-        value = np.where(value & 0x800000, value - 0x1000000, value)
-        flat = value.astype(np.float64)
+    width = bits // 8
+    count = size // (width * channels) * channels  # whole frames only
+    flat = np.empty(count, np.float64)
+    if dtype is None:  # 24-bit: each triple into the top 3 bytes of an int32, then sign-extend
+        samples = np.zeros(count, "<i4")
+        samples.view(np.uint8).reshape(-1, 4)[:, 1:] = np.frombuffer(data, np.uint8, 3 * count, offset).reshape(-1, 3)
+        samples >>= 8
     else:
-        samples = np.frombuffer(raw, dtype=dtype)
+        samples = np.frombuffer(data, dtype, count, offset)
         # checked before the float64 cast, which warns on a signalling NaN
         if tag == _IEEE_FLOAT and not np.isfinite(samples).all():
             raise WavFormatError("non-finite sample (NaN or inf) in float data: %s" % path)
-        flat = samples.astype(np.float64)
-    flat /= scale
-    frames = flat.reshape(-1, channels)
-    sigs = tuple(Signal._wrap(frames[:, c].copy(), float(rate)) for c in range(channels))
+    np.divide(samples, scale, out=flat, dtype=np.float64)  # exact: every scale is a power of two
+    if channels == 1:  # the decoded buffer is the channel
+        sigs = (Signal._wrap(flat, float(rate)),)
+    else:
+        frames = flat.reshape(-1, channels)
+        sigs = tuple(Signal._wrap(frames[:, c].copy(), float(rate)) for c in range(channels))
     return AudioFile(sigs, float(rate), source)
 
 
@@ -147,7 +150,7 @@ def read_wav(path) -> AudioFile:
                     "truncated file: data chunk claims %d bytes, %d available: %s"
                     % (size, len(data) - body, path)
                 )
-            return _decode(data[body : body + size], *fmt, path)
+            return _decode(data, body, size, *fmt, path)
         pos = body + size + (size & 1)  # chunks are word-aligned
     raise WavFormatError("not a WAV file: no data chunk: %s" % path)
 
@@ -167,32 +170,48 @@ def wav_header_rate(sample_rate: float, fmt: str = "pcm16") -> int:
     return rate
 
 
+_WAV_BLOCK = 1 << 15  # write_wav samples per block; bounds the pcm16 encoder's float64 work buffer
+
+
 def write_wav(path, s: Signal, fmt: str = "pcm16") -> int:
     """Write a mono WAV file; returns how many samples were clipped to [-1, 1].
 
-    Checks ``wav_header_rate`` before the file is opened.
+    Checks ``wav_header_rate`` before the file is opened. pcm16 scales by
+    2^15, rounds half to even and clips to [-32768, 32767], in blocks of
+    ``_WAV_BLOCK`` samples written into one int16 payload.
     """
     rate = wav_header_rate(s.sample_rate, fmt)
     x = s.samples
-    clipped = int(np.count_nonzero((x < -1.0) | (x > 1.0)))
-    x = np.clip(x, -1.0, 1.0)
 
     if fmt == "pcm16":
-        payload = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2").tobytes()
+        payload = np.empty(x.size, "<i2")
+        clipped = 0
+        work = np.empty(min(x.size, _WAV_BLOCK))
+        with np.errstate(over="ignore"):  # |x| near float64's max scales to inf, which clips the same
+            for start in range(0, x.size, _WAV_BLOCK):
+                y = work[: min(x.size - start, _WAV_BLOCK)]
+                # Scaling by 2^15 is exact: y leaves [-32768, 32768] just where x leaves [-1, 1].
+                np.multiply(x[start : start + y.size], 32768.0, out=y)
+                clipped += int(np.count_nonzero(y < -32768.0)) + int(np.count_nonzero(y > 32768.0))
+                np.rint(y, out=y)
+                np.clip(y, -32768, 32767, out=y)
+                payload[start : start + y.size] = y
         header = struct.pack(
             "<4sI4s4sIHHIIHH4sI",
-            b"RIFF", 36 + len(payload), b"WAVE",
+            b"RIFF", 36 + payload.nbytes, b"WAVE",
             b"fmt ", 16, _PCM, 1, rate, rate * 2, 2, 16,
-            b"data", len(payload),
+            b"data", payload.nbytes,
         )
     else:
-        payload = x.astype("<f4").tobytes()
+        clipped = int(np.count_nonzero(x < -1.0)) + int(np.count_nonzero(x > 1.0))
+        payload = np.empty(x.size, "<f4")
+        np.clip(x, -1.0, 1.0, out=payload)
         header = struct.pack(
             "<4sI4s4sIHHIIHHH4sII4sI",
-            b"RIFF", 50 + len(payload), b"WAVE",
+            b"RIFF", 50 + payload.nbytes, b"WAVE",
             b"fmt ", 18, _IEEE_FLOAT, 1, rate, rate * 4, 4, 32, 0,
             b"fact", 4, x.size,
-            b"data", len(payload),
+            b"data", payload.nbytes,
         )
 
     with open(path, "wb") as f:

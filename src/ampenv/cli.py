@@ -15,6 +15,7 @@ budget. Errors are a single line on stderr; success writes nothing there.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     syn = sub.add_parser("synth", help="generate a synthetic signal and its true envelope")
     syn.add_argument("-o", "--output", required=True, help="output path (suffix picks format)")
     syn.add_argument("--kind", choices=SYNTH_KINDS, default=SyntheticSpec.kind)
-    syn.add_argument("--carrier", type=float, nargs="+", default=[SyntheticSpec.carrier_hz], help="carrier Hz (two values for chirp, several for multi)")
+    syn.add_argument("--carrier", type=float, nargs="+", default=(SyntheticSpec.carrier_hz,), help="carrier Hz (two values for chirp, several for multi)")
     syn.add_argument("--modulator", type=float, default=SyntheticSpec.modulator_hz, help="modulator Hz")
     syn.add_argument("--depth", type=float, default=SyntheticSpec.depth, help="modulation depth in [0, 1]")
     syn.add_argument("--duration", type=float, default=SyntheticSpec.duration_s, help="duration s")
@@ -282,8 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process for ``main``.
+
+    Parsing leaves a parser as it was: each call gets a new namespace, and
+    every default is immutable (numbers, strings, a tuple), so no command
+    can change what the next call parses.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (WavFormatError, OSError) as exc:

@@ -11,9 +11,11 @@ The baselines:
 * ``envelope_follower`` - rectification followed by low-pass filtering,
   i.e. the peak-hold pipeline with bunch size 1; it takes ``cutoff_hz`` and
   ``filter_order``, named as in ``EnvelopeParams``.
-* ``envelope_rms`` - root mean square over a centered sliding window.
-* ``envelope_hilbert`` - magnitude of the analytic signal; accurate only for
-  narrow-band inputs, and shipped mainly for comparison.
+* ``envelope_rms`` - root mean square over a centered sliding window; the
+  window sums are built by doubling, in O(n log w) for width w.
+* ``envelope_hilbert`` - magnitude of the analytic signal, its quadrature
+  part from the real FFT; accurate only for narrow-band inputs, and shipped
+  mainly for comparison.
 
 All four preserve length and sample rate and are positively homogeneous
 (scaling the input scales the envelope).
@@ -126,33 +128,57 @@ def envelope_rms(s: Signal, window_samples: int = RMS_WINDOW) -> EnvelopeResult:
     n = x.shape[0]
     if n == 0:
         return EnvelopeResult(Signal._wrap(x.copy(), s.sample_rate), "rms", {"window_samples": w})
-    # direct convolution keeps the window sums local (no cumsum drift)
-    sums = np.convolve(x * x, np.ones(w))[w - w // 2 - 1 : w - w // 2 - 1 + n]
-    idx = np.arange(n)
-    counts = np.clip(idx - w // 2 + w, 0, n) - np.clip(idx - w // 2, 0, n)
-    out = np.sqrt(np.maximum(sums, 0.0) / counts)
+    left, right = w // 2, w - w // 2 - 1  # window samples on each side of center
+    # The squares, zero-padded so that output i's window is padded[i : i + w].
+    # Window sums are built by doubling over the binary digits of w: the sum
+    # of 2k samples is that of k plus that of the k after them. Only the
+    # nonnegative squares are ever added, so there is no cumsum subtraction
+    # to cancel, in O(n log w) against direct convolution's O(n w).
+    span = n + w - 1
+    padded = np.zeros(span)
+    np.multiply(x, x, out=padded[left : left + n])
+    spare = np.empty(span)
+    sums = np.zeros(n)
+    offset, k = 0, 1  # samples summed so far; samples per sum in ``padded``
+    while True:
+        if w & k:
+            sums += padded[offset : offset + n]
+            offset += k
+        if offset == w:
+            break
+        np.add(padded[: span - k], padded[k:span], out=spare[: span - k])
+        padded, spare = spare, padded
+        span -= k
+        k *= 2
+    # Every window holds w samples but the w - 1 that reach past an edge.
+    lo = min(left, n)
+    hi = max(n - right, lo)
+    sums[lo:hi] /= w
+    edges = np.r_[0:lo, hi:n]
+    sums[edges] /= np.minimum(edges + right + 1, n) - np.maximum(edges - left, 0)
+    out = np.sqrt(sums, out=sums)
     return EnvelopeResult(Signal._wrap(out, s.sample_rate), "rms", {"window_samples": w})
 
 
 def envelope_hilbert(s: Signal) -> EnvelopeResult:
     """Analytic-signal magnitude envelope.
 
-    The analytic signal is built in the frequency domain: negative-frequency
-    bins are zeroed, strictly positive bins doubled, DC (and Nyquist, for
-    even lengths) kept as-is. Tracks the modulation of narrow-band signals
-    closely; with rich spectral content the magnitude beats and the estimate
-    degrades. Edges carry transform leakage; no windowing is applied.
+    The analytic signal is x + i Hx, with Hx the Hilbert transform of x.
+    Hx is computed from the real FFT (Marple, IEEE TSP 1999): every bin of
+    ``rfft(x)`` times -i, DC (and Nyquist, for even lengths) zeroed, back
+    through ``irfft``; the envelope is ``hypot(x, Hx)``. Tracks the
+    modulation of narrow-band signals closely; with rich spectral content
+    the magnitude beats and the estimate degrades. Edges carry transform
+    leakage; no windowing is applied.
     """
     n = len(s)
     if n == 0:
         raise ValueError("empty input")
-    spectrum = np.fft.fft(s.samples)
-    weights = np.zeros(n)
-    weights[0] = 1.0
+    spectrum = np.fft.rfft(s.samples)
+    spectrum *= -1j
+    spectrum[0] = 0.0
     if n % 2 == 0:
-        weights[n // 2] = 1.0
-        weights[1 : n // 2] = 2.0
-    else:
-        weights[1 : (n + 1) // 2] = 2.0
-    analytic = np.fft.ifft(spectrum * weights)
-    return EnvelopeResult(Signal._wrap(np.abs(analytic), s.sample_rate), "hilbert", {})
+        spectrum[-1] = 0.0
+    quadrature = np.fft.irfft(spectrum, n)
+    envelope = np.hypot(s.samples, quadrature, out=quadrature)
+    return EnvelopeResult(Signal._wrap(envelope, s.sample_rate), "hilbert", {})

@@ -123,6 +123,9 @@ def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
     padded sample; constants and linear trends pass through unchanged. Needs
     future samples, so offline use only. Both passes run as matrix
     products over blocks (``kernels.sos_filter``), not sample by sample.
+    The output is a reversed view into the backward pass's output buffer,
+    which is longer only by the padding (and the last block's spare
+    samples); it is not copied.
     """
     x = s.samples
     pad = default_pad_len(design)
@@ -135,10 +138,10 @@ def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
         (2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2 : -pad - 2 : -1])
     )
     fwd, _ = kernels.sos_filter(design.sections, ext, _step_state(design.sections, ext[0]))
+    del ext  # freed before the backward pass, which holds the most memory
     rev = fwd[::-1]
     bwd, _ = kernels.sos_filter(design.sections, rev, _step_state(design.sections, rev[0]))
-    out = bwd[::-1][pad:-pad]
-    return Signal._wrap(out.copy(), s.sample_rate)
+    return Signal._wrap(bwd[::-1][pad:-pad], s.sample_rate)
 
 
 def chunked_envelope_stream(

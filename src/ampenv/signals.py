@@ -97,13 +97,16 @@ def bunch_max(s: Signal, spec: BunchSpec | int) -> Signal:
     ``spec.bunch_size`` samples and each output sample equals the maximum
     over the bunch containing it, giving a staircase at the original sample
     rate. A trailing partial bunch takes the maximum over just its own
-    samples, so no peak is ever dropped.
+    samples, so no peak is ever dropped. With a bunch size of 1 the
+    staircase is ``s`` itself.
     """
     if not isinstance(spec, BunchSpec):
         spec = BunchSpec(spec)
     if len(s) == 0:
         raise ValueError("empty input")
     x, n = s.samples, spec.bunch_size
+    if n == 1:  # a one-sample bunch is its own maximum, and a Signal never changes
+        return s
     m = x.shape[0]
     full = m // n
     out = np.empty(m, dtype=np.float64)

@@ -1,4 +1,6 @@
-"""The per-sample biquad recurrence, as the reference the block kernel is held to."""
+"""Plain references the package is held to: the biquad recurrence, printf CSV, WAV bytes."""
+
+import struct
 
 import numpy as np
 
@@ -39,3 +41,45 @@ def printf_csv(signals) -> bytes:
     table = np.column_stack([np.arange(n) / rate] + [sig.samples for sig in sigs])
     header = "time_s," + ",".join(name for name, _ in items) + "\n"
     return (header + "".join(row % tuple(values) for values in table.tolist())).encode()
+
+
+def wav_bytes(samples, rate: int, fmt: str) -> bytes:
+    """A mono WAV file as ``write_wav`` writes it, by whole-array expressions.
+
+    The pre-clip to [-1, 1], then for pcm16 scale by 2^15, round half to
+    even, clip and cast; for float32 a cast. The reference the blocked
+    ``write_wav`` is held to, byte for byte.
+    """
+    x = np.clip(np.asarray(samples, np.float64), -1.0, 1.0)
+    if fmt == "pcm16":
+        payload = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2").tobytes()
+        header = struct.pack(
+            "<4sI4s4sIHHIIHH4sI",
+            b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16, 1, 1, rate, rate * 2, 2, 16, b"data", len(payload),
+        )
+    else:
+        payload = x.astype("<f4").tobytes()
+        header = struct.pack(
+            "<4sI4s4sIHHIIHHH4sII4sI",
+            b"RIFF", 50 + len(payload), b"WAVE", b"fmt ", 18, 3, 1, rate, rate * 4, 4, 32, 0,
+            b"fact", 4, x.size, b"data", len(payload),
+        )
+    return header + payload
+
+
+def decode_frames(raw: bytes, fmt: str, channels: int) -> np.ndarray:
+    """WAV sample bytes as (frames, channels) float64, decoded from a slice of whole frames.
+
+    ``fmt`` is pcm16, pcm24, pcm32 or float32; integers are divided by
+    2^(bits - 1). The reference ``read_wav`` is held to, bit for bit.
+    """
+    width = {"pcm16": 2, "pcm24": 3, "pcm32": 4, "float32": 4}[fmt]
+    raw = raw[: len(raw) // (width * channels) * width * channels]
+    if fmt == "pcm24":
+        triples = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+        value = triples[:, 0] | (triples[:, 1] << 8) | (triples[:, 2] << 16)
+        flat = np.where(value & 0x800000, value - 0x1000000, value).astype(np.float64) / 8388608.0
+    else:
+        dtype, scale = {"pcm16": ("<i2", 32768.0), "pcm32": ("<i4", 2147483648.0), "float32": ("<f4", 1.0)}[fmt]
+        flat = np.frombuffer(raw, dtype=dtype).astype(np.float64) / scale
+    return flat.reshape(-1, channels)

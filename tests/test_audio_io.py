@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import uuid
 import warnings
 
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracles import decode_frames, wav_bytes
+
 from ampenv import Signal, WavFormatError, read_wav, to_mono, write_csv, write_wav
+from ampenv.audio_io import _WAV_BLOCK
 
 
 def pcm16_wav_bytes(samples, rate=44100, channels=1):
@@ -351,6 +355,128 @@ class TestWriteWav:
         for rate, stored in ((0.6, 1.0), (float(highest), float(highest))):
             write_wav(path, Signal([0.0], rate), fmt)
             assert read_wav(path).sample_rate_hz == stored
+
+
+ULP_ABOVE_ONE = np.nextafter(1.0, 2.0)
+# Half-LSB ties round half to even: k + 0.5 for even and odd k, both signs.
+HALF_LSB_TIES = [(k + 0.5) / 32768.0 for k in (0, 1, 2, 3, 32766, -1, -2, -32767)]
+EDGE_VALUES = [1.0, -1.0, ULP_ABOVE_ONE, -ULP_ABOVE_ONE, *HALF_LSB_TIES, 1.7e308, -1.7e308, 5e-324, -0.0, 32767.5 / 32768.0]
+
+
+class TestWriteWavBytes:
+    """write_wav's blocked encoder writes the bytes of the whole-array one."""
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    def test_edge_values(self, tmp_path, fmt):
+        path = tmp_path / "edges.wav"
+        clipped = write_wav(path, Signal(EDGE_VALUES, 8000.0), fmt)
+        assert path.read_bytes() == wav_bytes(EDGE_VALUES, 8000, fmt)
+        assert clipped == 4  # one ulp beyond +-1, and +-1.7e308
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    @pytest.mark.parametrize("n", [0, 1, _WAV_BLOCK - 1, _WAV_BLOCK, _WAV_BLOCK + 1, 2 * _WAV_BLOCK + 3])
+    def test_lengths_around_the_block(self, tmp_path, rng, fmt, n):
+        x = 1.2 * rng.uniform(-1.0, 1.0, n)
+        x[::7] = rng.integers(-32769, 32769, x[::7].size) / 32768.0 + 0.5 / 32768.0  # ties, and +-1 beyond
+        path = tmp_path / "x.wav"
+        clipped = write_wav(path, Signal(x, 44100.0), fmt)
+        assert path.read_bytes() == wav_bytes(x, 44100, fmt)
+        assert clipped == np.count_nonzero(np.abs(x) > 1.0)
+
+    def test_reversed_view_input(self, tmp_path, rng):
+        # The zero-phase filter's output is a reversed view of its buffer.
+        x = rng.uniform(-1.1, 1.1, _WAV_BLOCK + 5)
+        sig = Signal._wrap(x[::-1], 44100.0)
+        path = tmp_path / "rev.wav"
+        write_wav(path, sig)
+        assert path.read_bytes() == wav_bytes(x[::-1], 44100, "pcm16")
+
+
+def _frames_bytes(frames: np.ndarray, fmt: str) -> bytes:
+    """(frames, channels) of integer codes (or float32 values) as WAV sample bytes."""
+    if fmt == "pcm24":
+        return frames.astype("<i4").reshape(-1, 1).view(np.uint8)[:, :3].tobytes()
+    return frames.astype({"pcm16": "<i2", "pcm32": "<i4", "float32": "<f4"}[fmt]).tobytes()
+
+
+def _wav_file(fmt: str, channels: int, sample_bytes: bytes, rate=44100, data_size=None) -> bytes:
+    tag, bits = (3, 32) if fmt == "float32" else (1, int(fmt[3:]))
+    align = channels * bits // 8
+    size = len(sample_bytes) if data_size is None else data_size
+    return (
+        b"RIFF" + struct.pack("<I", 36 + len(sample_bytes)) + b"WAVE"
+        + b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, rate, rate * align, align, bits)
+        + b"data" + struct.pack("<I", size) + sample_bytes
+    )
+
+
+class TestReadWavDecode:
+    """read_wav decodes straight from the file's bytes, bit-identical to a slice-and-cast decode."""
+
+    FULL_SCALE = {"pcm16": 1 << 15, "pcm24": 1 << 23, "pcm32": 1 << 31}
+
+    def frames(self, rng, fmt, n, channels):
+        if fmt == "float32":
+            return rng.uniform(-1.5, 1.5, (n, channels)).astype(np.float32)
+        top = self.FULL_SCALE[fmt]
+        codes = rng.integers(-top, top, (n, channels))
+        codes[:2] = [[-top], [top - 1]]  # both ends of the range
+        return codes
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("tail", [0, 1, 5], ids=["whole", "1-byte-tail", "5-byte-tail"])
+    def test_matches_slice_decode(self, tmp_path, rng, fmt, channels, tail):
+        sample_bytes = _frames_bytes(self.frames(rng, fmt, 301, channels), fmt) + bytes(range(1, 1 + tail))
+        path = tmp_path / "x.wav"
+        path.write_bytes(_wav_file(fmt, channels, sample_bytes))
+        audio = read_wav(path)
+        expected = decode_frames(sample_bytes, fmt, channels)
+        assert audio.source_format == fmt
+        assert audio.n_samples == len(expected) >= 301
+        assert [ch.samples.tobytes() for ch in audio.channels] == [expected[:, c].tobytes() for c in range(channels)]
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_streamed_data_size(self, tmp_path, rng, fmt, channels):
+        sample_bytes = _frames_bytes(self.frames(rng, fmt, 77, channels), fmt) + b"\x07"
+        path = tmp_path / "streamed.wav"
+        path.write_bytes(_wav_file(fmt, channels, sample_bytes, data_size=0xFFFFFFFF))
+        audio = read_wav(path)
+        expected = decode_frames(sample_bytes, fmt, channels)
+        assert [ch.samples.tobytes() for ch in audio.channels] == [expected[:, c].tobytes() for c in range(channels)]
+
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes traced (NumPy buffers included) while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOnePassMemory:
+    """No full-length temporaries: a slice copy, a per-channel copy or a float64 payload would each exceed these."""
+
+    N = 1 << 20
+    SLACK = 1 << 19  # ufunc cast buffers, file object, header parsing
+
+    def test_read_holds_the_file_and_one_float64_buffer(self, tmp_path):
+        path = tmp_path / "mono.wav"
+        write_wav(path, Signal(np.sin(np.arange(self.N) * 0.01), 44100.0))
+        # and the boolean temporary of Signal's finiteness check
+        assert _traced_peak(read_wav, path) <= path.stat().st_size + 9 * self.N + self.SLACK
+
+    @pytest.mark.parametrize("fmt, width", [("pcm16", 2), ("float32", 4)])
+    def test_write_holds_the_payload_and_block_buffers(self, tmp_path, fmt, width):
+        sig = Signal(np.sin(np.arange(self.N) * 0.01), 44100.0)
+        # float32 counts its clips with one full-length boolean temporary at a time
+        temporaries = 10 * _WAV_BLOCK if fmt == "pcm16" else self.N
+        peak = _traced_peak(write_wav, tmp_path / "out.wav", sig, fmt)
+        assert peak <= width * self.N + temporaries + self.SLACK
 
 
 class TestWriteCsv:

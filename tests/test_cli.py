@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from ampenv import Signal, read_wav, write_wav
+from ampenv import Signal, cli, read_wav, write_wav
 from ampenv.cli import main
 
 
@@ -417,3 +417,38 @@ class TestFilterDumpCommand:
         code, _, stderr = run(capsys, "filter-dump", "--cutoff", "30000", "--rate", "44100")
         assert code == 2
         assert "cutoff above Nyquist" in stderr
+
+
+def test_calls_in_one_process_are_independent(capsys, tone_wav, tmp_path):
+    # main parses with one parser per process; each call must still behave
+    # as if it were the only one, defaults included.
+    def calls(out):
+        return [
+            ["synth", "-o", str(out / "multi.wav"), "--kind", "multi_carrier_am", "--carrier", "300", "900", "--duration", "0.1"],
+            ["envelope", str(tone_wav), "--preset", "piano", "--bunch", "20", "--channel", "0", "-o", str(out / "piano.csv")],
+            ["synth", "-o", str(out / "plain.wav"), "--duration", "0.1"],
+            ["envelope", str(tone_wav), "-o", str(out / "plain.csv")],
+            ["compare", "--with-hilbert", "--rms-window", "30", "--duration", "0.2"],
+            ["compare", "--duration", "0.2"],
+            ["synth", "-o", str(out / "plain_again.wav"), "--duration", "0.1"],
+        ]
+
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    outputs = []
+    for argv in calls(together):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    for argv, output in zip(calls(alone), outputs):
+        args = cli.build_parser().parse_args(argv)
+        assert args.func(args) == 0
+        stdout = capsys.readouterr().out
+        if argv[0] == "compare":  # the table's runtimes differ from run to run
+            assert [line.split()[:2] for line in stdout.splitlines()] == [line.split()[:2] for line in output.splitlines()]
+    assert sorted(p.name for p in together.iterdir()) == sorted(p.name for p in alone.iterdir())
+    for path in together.iterdir():
+        assert path.read_bytes() == (alone / path.name).read_bytes()
+    # A default used a second time is still the default.
+    assert (together / "plain.wav").read_bytes() == (together / "plain_again.wav").read_bytes()
+    assert cli._parser() is cli._parser()

@@ -81,6 +81,18 @@ class TestThreeStep:
             env = three_step_envelope(sig, EnvelopeParams(35, 300.0)).envelope.samples
             assert env.min() >= -0.02 * env.max()
 
+    def test_tone_burst_rings_below_zero(self):
+        # Butterworth ringing: 5 ms of a 150 Hz tone (amplitude 1) in 0.5 s
+        # of silence, default parameters. Measured: the envelope dips to
+        # -0.0631 145 samples before the burst, and to -0.0616 after it.
+        rate = 44100.0
+        x = np.zeros(int(0.5 * rate))
+        start, length = int(0.1 * rate), int(0.005 * rate)
+        x[start : start + length] = np.sin(2.0 * np.pi * 150.0 * np.arange(length) / rate)
+        env = three_step_envelope(Signal(x, rate)).envelope.samples
+        assert -0.066 < env.min() < -0.060
+        assert env[:start].min() < -0.06 and env[start + length :].min() < -0.06
+
     def test_cutoff_above_nyquist_propagates(self):
         sig = sine(duration=0.1)
         with pytest.raises(ValueError, match="cutoff above Nyquist"):
@@ -152,6 +164,15 @@ class TestRms:
         out = envelope_rms(Signal(x, 10.0), window)
         np.testing.assert_allclose(out.envelope.samples, naive_rms(x, window), rtol=1e-12)
 
+    @pytest.mark.parametrize("n", [400, 401])
+    @pytest.mark.parametrize("window", [1, 2, 3, 7, 64, 200, "n", "n + 5"])
+    def test_doubling_sums_match_naive_oracle(self, n, window, rng):
+        # Window widths of every binary shape, and windows wider than the signal.
+        w = {"n": n, "n + 5": n + 5}.get(window, window)
+        x = rng.standard_normal(n)
+        out = envelope_rms(Signal(x, 10.0), w)
+        np.testing.assert_allclose(out.envelope.samples, naive_rms(x, w), rtol=1e-12)
+
     def test_invalid_window(self):
         with pytest.raises(ValueError, match="invalid window"):
             envelope_rms(sine(duration=0.01), 0)
@@ -198,7 +219,7 @@ class TestHilbert:
         )
         assert err_b > 0.10
 
-    @pytest.mark.parametrize("n", [256, 257])
+    @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 66150])
     def test_matches_scipy_hilbert(self, n, rng):
         x = rng.standard_normal(n)
         ours = envelope_hilbert(Signal(x, 100.0)).envelope.samples

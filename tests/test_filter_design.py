@@ -98,6 +98,26 @@ class TestButterworthDesign:
                 _, theirs = sps.sosfreqz(sos, worN=grid, fs=44100.0)
                 assert np.max(np.abs(ours - theirs)) < 1e-9
 
+    @pytest.mark.parametrize("order", range(8, 17))
+    def test_high_orders_near_nyquist_match_scipy(self, order):
+        # Cutoffs of 0.45-0.499 fs crowd the poles towards z = -1, where the
+        # zeros sit. Measured at 44.1 kHz over these orders and cutoffs: poles
+        # within 8e-14 of scipy's, responses within 3.1e-11 (1.3e-12 up to
+        # 0.495 fs), the cutoff's magnitude within 3e-12 of 1/sqrt(2).
+        rate = 44100.0
+        grid = np.linspace(0.0, rate / 2.0, 1001)
+        for ratio in (0.45, 0.47, 0.49, 0.495, 0.499):
+            cutoff = ratio * rate
+            design = butterworth_lowpass(FilterSpec(cutoff, rate, order))
+            sos = sps.butter(order, cutoff, fs=rate, output="sos")
+            _, theirs = sps.sosfreqz(sos, worN=grid, fs=rate)
+            assert np.max(np.abs(frequency_response(design, grid) - theirs)) < 1e-10
+            ours = np.concatenate([np.roots([1.0, a1, a2]) if a2 else [-a1] for _, _, _, a1, a2 in design.sections])
+            scipy_poles = sps.sos2zpk(sos)[1]
+            scipy_poles = scipy_poles[scipy_poles != 0]  # odd orders pad a section with a pole at 0
+            assert np.max(np.abs(np.sort_complex(ours) - np.sort_complex(scipy_poles))) < 5e-13
+            assert abs(abs(frequency_response(design, [cutoff])[0]) - np.sqrt(0.5)) < 1e-11
+
     def test_gain_is_in_first_section_only(self):
         design = butterworth_lowpass(FilterSpec(300.0, 44100.0, 4))
         np.testing.assert_allclose(design.sections[1:, :3], [[1.0, 2.0, 1.0]])

@@ -154,6 +154,14 @@ class TestBunchMax:
             out = bunch_max(Signal(shifted, 10.0), n).samples
             np.testing.assert_array_equal(out[m * n :], base)
 
+    def test_bunch_size_one_is_the_signal_itself(self, rng):
+        # A one-sample bunch is its own maximum, and a Signal never changes.
+        sig = Signal(rng.standard_normal(101), 8000.0)
+        assert bunch_max(sig, 1) is sig
+        assert bunch_max(sig, BunchSpec(1)) is sig
+        with pytest.raises(ValueError, match="empty input"):
+            bunch_max(Signal([], 8000.0), 1)
+
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty input"):
             bunch_max(Signal([], 10.0), 3)
