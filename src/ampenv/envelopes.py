@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .filter_design import FilterSpec, butterworth_lowpass
-from .filtering import filtfilt_zero_phase
+from .filtering import _zero_phase, filtfilt_zero_phase
 from .signals import BunchSpec, Signal, _positive_finite, _positive_int, bunch_max, rectify
 
 
@@ -79,7 +79,11 @@ class EnvelopeResult:
 def three_step_stages(
     s: Signal, params: EnvelopeParams | None = None
 ) -> tuple[Signal, Signal, Signal]:
-    """Rectified, staircase, and final envelope stages of the peak-hold method."""
+    """Rectified, staircase, and final envelope stages of the peak-hold method.
+
+    All three are held at full length; ``three_step_envelope`` makes only
+    the last, in pieces.
+    """
     p = params if params is not None else EnvelopeParams()
     design = butterworth_lowpass(FilterSpec(p.cutoff_hz, s.sample_rate, p.filter_order))
     rectified = rectify(s)
@@ -95,10 +99,25 @@ def three_step_envelope(s: Signal, params: EnvelopeParams | None = None) -> Enve
     result follows the signal's peaks without the systematic attenuation of
     the classical estimators. Filter ringing can make the output dip
     slightly below zero near sharp transitions.
+
+    The three stages run together on pieces of about 2^17 samples, each a
+    whole number of bunches, so neither the rectified waveform nor the
+    staircase is ever held at full length: besides the input, memory is one
+    float64 buffer of the padded length, of which the envelope is a view.
+    ``three_step_stages`` returns all three stages, with the same envelope
+    bit for bit wherever the input is one piece, and within rounding (about
+    1e-14 of its peak) beyond.
     """
     p = params if params is not None else EnvelopeParams()
-    _, _, envelope = three_step_stages(s, p)
-    return EnvelopeResult(envelope, "three_step", asdict(p))
+    return EnvelopeResult(_peak_hold(s, p), "three_step", asdict(p))
+
+
+def _peak_hold(s: Signal, p: EnvelopeParams) -> Signal:
+    # Errors come in three_step_stages' order: the design's, then empty input.
+    design = butterworth_lowpass(FilterSpec(p.cutoff_hz, s.sample_rate, p.filter_order))
+    if len(s) == 0:
+        raise ValueError("empty input")
+    return _zero_phase(design, s, BunchSpec(p.bunch_size).bunch_size)
 
 
 def envelope_follower(
@@ -111,7 +130,7 @@ def envelope_follower(
     of the rectified waveform (2A/pi for a sinusoid of amplitude A), i.e.
     systematically below the peak level.
     """
-    _, _, envelope = three_step_stages(s, EnvelopeParams(1, cutoff_hz, filter_order))
+    envelope = _peak_hold(s, EnvelopeParams(1, cutoff_hz, filter_order))
     return EnvelopeResult(envelope, "follower", {"cutoff_hz": float(cutoff_hz), "filter_order": int(filter_order)})
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .filter_design import FilterDesign
-from .signals import BunchSpec, Signal, bunch_max, rectify
+from .signals import BunchSpec, Signal, _rectified_peaks, bunch_max, rectify
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,26 +122,73 @@ def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
     by starting each pass from the steady state for a step at the first
     padded sample; constants and linear trends pass through unchanged. Needs
     future samples, so offline use only. Both passes run as matrix
-    products over blocks (``kernels.sos_filter``), not sample by sample.
-    The output is a reversed view into the backward pass's output buffer,
-    which is longer only by the padding (and the last block's spare
-    samples); it is not copied.
+    products over blocks (``kernels.sos_filter``), not sample by sample, in
+    pieces of about 2^17 samples carrying the state from piece to piece, so
+    besides the input only one float64 buffer of the padded length is held
+    (the output is a view of it, not a copy).
+    """
+    return _zero_phase(design, s)
+
+
+# Samples per piece of the zero-phase driver. A piece's ~1 MB arrays stay in
+# cache between stages: on a 60 s input, 2^16-2^17 ran fastest, 2^14 and 2^19
+# 10-40% slower (Xeon, 2 MB L2 per core).
+_PIECE = 1 << 17
+
+
+def _zero_phase(design: FilterDesign, s: Signal, bunch: int | None = None) -> Signal:
+    """Both zero-phase passes over ``s``, or over its peak-hold staircase if ``bunch`` is given.
+
+    The input is cut into consecutive pieces of about ``_PIECE`` samples,
+    each a whole number of bunches, so that a piece's staircase (rectify,
+    then ``bunch``-sample maxima) is that of the whole input there. Each
+    piece is filtered forward as soon as it is made, the first with the odd
+    reflection pad before it and the last with the end pad after it (a
+    remainder of ``pad`` samples or fewer joins the last piece), the state
+    carried across; the outputs fill one buffer of n + 2 * pad samples. The
+    backward pass runs over the same pieces in reverse, in place. An input
+    of one piece makes the two kernel calls over the whole padded array,
+    with no copy into a buffer.
     """
     x = s.samples
-    pad = default_pad_len(design)
-    if len(x) <= pad:
+    n, pad, sos = len(x), default_pad_len(design), design.sections
+    if n <= pad:
         raise ValueError(
-            "signal shorter than filter transient pad (%d samples <= pad %d)"
-            % (len(x), pad)
+            "signal shorter than filter transient pad (%d samples <= pad %d)" % (n, pad)
         )
-    ext = np.concatenate(
-        (2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2 : -pad - 2 : -1])
-    )
-    fwd, _ = kernels.sos_filter(design.sections, ext, _step_state(design.sections, ext[0]))
-    del ext  # freed before the backward pass, which holds the most memory
-    rev = fwd[::-1]
-    bwd, _ = kernels.sos_filter(design.sections, rev, _step_state(design.sections, rev[0]))
-    return Signal._wrap(bwd[::-1][pad:-pad], s.sample_rate)
+    step = bunch or 1
+    piece = step * max(_PIECE // step, pad // step + 1)  # a pad needs pad + 1 samples
+    cuts = [*range(0, n - pad, piece), n]
+    # Piece [cuts[i], cuts[i + 1]) fills [edges[i], edges[i + 1]) of the
+    # buffer: the first also the front pad, the last also the end pad.
+    edges = [0, *(c + pad for c in cuts[1:-1]), n + 2 * pad]
+    spans = list(zip(edges, edges[1:]))
+    lone = len(spans) == 1
+    buf = None if lone else np.empty(n + 2 * pad)
+    for a, b, (lo, hi) in zip(cuts, cuts[1:], spans):
+        part = x[a:b] if bunch is None else _rectified_peaks(x[a:b], bunch)
+        front = 2.0 * part[0] - part[pad:0:-1] if a == 0 else part[:0]
+        back = 2.0 * part[-1] - part[-2 : -pad - 2 : -1] if b == n else part[:0]
+        ext = np.concatenate((front, part, back))
+        del part
+        if a == 0:
+            z = _step_state(sos, ext[0])
+        fwd, z = kernels.sos_filter(sos, ext, z)
+        del ext  # each array is freed before the next piece's
+        if lone:
+            buf = fwd
+        else:
+            buf[lo:hi] = fwd
+        del fwd
+    z = _step_state(sos, buf[-1])
+    for lo, hi in reversed(spans):
+        bwd, z = kernels.sos_filter(sos, buf[lo:hi][::-1], z)
+        if lone:
+            buf = bwd[::-1]
+        else:
+            buf[lo:hi] = bwd[::-1]
+        del bwd
+    return Signal._wrap(buf[pad : pad + n], s.sample_rate)
 
 
 def chunked_envelope_stream(

@@ -19,12 +19,15 @@ input's length:
   output is its own small product. A block's results then depend only on
   its inputs and its start state, never on where a call starts, so
   ``filter_causal`` and streaming reproduce an uncut run bit for bit.
-- Other lengths, which include the two passes of ``filtfilt_zero_phase``
-  unless their padded input happens to be block-aligned, sum the
-  block-start states by doubling (a Hillis-Steele scan, ``_sos_scanned``)
-  and take every block's output from one matrix product. That avoids a
-  Python step per block, 3-5x faster, but a block's rounding then depends
-  on where it sits in the input.
+- Other lengths sum the block-start states by doubling (a Hillis-Steele
+  scan, ``_sos_scanned``) and take every block's output from one matrix
+  product. That avoids a Python step per block, 3-5x faster, but a block's
+  rounding then depends on where it sits in the input. The zero-phase
+  driver behind ``filtfilt_zero_phase`` and the peak-hold envelope feeds
+  each pass in pieces of about 2^17 samples, the first and last with their
+  pads, or a shorter input as one padded array. These take the scan unless
+  their length is one of the carried ones above: a short last piece, or a
+  padded input of whole blocks up to ``CARRY_SPAN``.
 """
 
 from __future__ import annotations

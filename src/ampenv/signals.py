@@ -104,14 +104,23 @@ def bunch_max(s: Signal, spec: BunchSpec | int) -> Signal:
         spec = BunchSpec(spec)
     if len(s) == 0:
         raise ValueError("empty input")
-    x, n = s.samples, spec.bunch_size
-    if n == 1:  # a one-sample bunch is its own maximum, and a Signal never changes
+    if spec.bunch_size == 1:  # a one-sample bunch is its own maximum, and a Signal never changes
         return s
-    m = x.shape[0]
-    full = m // n
-    out = np.empty(m, dtype=np.float64)
+    out = _bunch_peaks(s.samples, spec.bunch_size, np.empty(len(s)))
+    return Signal._wrap(out, s.sample_rate)
+
+
+def _bunch_peaks(x: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` (which may be ``x`` itself) each sample's n-sample bunch maximum; returns ``out``."""
+    full = len(x) // n
     if full:  # each bunch's maximum, broadcast along its row
         out[: full * n].reshape(full, n)[:] = x[: full * n].reshape(full, n).max(axis=1, keepdims=True)
-    if full * n < m:
+    if full * n < len(x):
         out[full * n :] = x[full * n :].max()
-    return Signal._wrap(out, s.sample_rate)
+    return out
+
+
+def _rectified_peaks(x: np.ndarray, n: int) -> np.ndarray:
+    """Rectify then bunch-max raw samples into one new array: the peak-hold staircase of x."""
+    out = np.abs(x)
+    return out if n == 1 else _bunch_peaks(out, n, out)

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from ampenv import Signal, cli, read_wav, write_wav
+from ampenv import PRESETS, Signal, cli, read_wav, three_step_envelope, to_mono, write_wav
 from ampenv.cli import main
 
 
@@ -66,6 +66,21 @@ class TestEnvelopeCommand:
         code, _, _ = run(capsys, "envelope", str(tone_wav), "-o", str(base), "--format", "both")
         assert code == 0
         assert (tmp_path / "pair.csv").exists() and (tmp_path / "pair.wav").exists()
+
+    def test_wav_only_output_skips_the_stages(self, capsys, tone_wav, tmp_path, monkeypatch):
+        # Only CSV output, which writes the rectified and staircase columns,
+        # builds them; the WAV is the same either way.
+        calls = []
+        stages = cli.three_step_stages
+        monkeypatch.setattr(cli, "three_step_stages", lambda *a: calls.append(1) or stages(*a))
+        code, _, stderr = run(capsys, "envelope", str(tone_wav), "-o", str(tmp_path / "only.wav"), "--preset", "canary")
+        assert (code, stderr, calls) == (0, "", [])
+        code, _, stderr = run(capsys, "envelope", str(tone_wav), "-o", str(tmp_path / "both"), "--preset", "canary", "--format", "both")
+        assert (code, stderr, calls) == (0, "", [1])
+        expected = three_step_envelope(to_mono(read_wav(tone_wav)), PRESETS["canary"]).envelope
+        write_wav(tmp_path / "expected.wav", expected)
+        assert (tmp_path / "only.wav").read_bytes() == (tmp_path / "both.wav").read_bytes()
+        assert (tmp_path / "only.wav").read_bytes() == (tmp_path / "expected.wav").read_bytes()
 
     def test_default_output_name(self, capsys, tone_wav):
         code, stdout, _ = run(capsys, "envelope", str(tone_wav))
@@ -183,6 +198,15 @@ class TestShortSignal:
         code, stdout, stderr = run(capsys, command, str(path), "-o", str(tmp_path / "out.csv"))
         assert code == 2
         assert stdout == ""
+        assert stderr == "ampenv: signal shorter than filter transient pad (%d samples <= pad 27)\n" % n
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("n", [1, 27])
+    def test_wav_only_not_longer_than_pad_exits_2(self, capsys, tmp_path, n):
+        path = tmp_path / "short.wav"
+        write_wav(path, Signal(np.full(n, 0.5), 44100.0))
+        code, stdout, stderr = run(capsys, "envelope", str(path), "-o", str(tmp_path / "out.wav"))
+        assert (code, stdout) == (2, "")
         assert stderr == "ampenv: signal shorter than filter transient pad (%d samples <= pad 27)\n" % n
         assert list(tmp_path.iterdir()) == [path]
 

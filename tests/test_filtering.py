@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,18 +9,23 @@ from scipy import signal as sps
 
 from ampenv import (
     BunchSpec,
+    EnvelopeParams,
     FilterSpec,
     FilterState,
     Signal,
     bunch_max,
     butterworth_lowpass,
     chunked_envelope_stream,
+    envelope_follower,
     filter_causal,
     filtfilt_zero_phase,
     frequency_response,
     kernels,
     rectify,
+    three_step_envelope,
+    three_step_stages,
 )
+from ampenv import filtering
 from ampenv.filtering import _step_state, default_pad_len
 
 
@@ -34,6 +41,17 @@ def filter_in_parts(design, s, state, cuts):
         out, state = filter_causal(design, Signal(s.samples[a:b], s.sample_rate), state)
         parts.append(out.samples)
     return np.concatenate(parts), state
+
+
+def scanned_zero_phase(design, x):
+    """Both zero-phase passes over x as one whole-array scan each."""
+    pad = default_pad_len(design)
+    sos = design.sections
+    ext = np.concatenate((2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2 : -pad - 2 : -1]))
+    fwd, _ = kernels._sos_scanned(sos, ext, _step_state(sos, ext[0]))
+    rev = fwd[::-1]
+    bwd, _ = kernels._sos_scanned(sos, rev, _step_state(sos, rev[0]))
+    return bwd[::-1][pad:-pad]
 
 
 def zero_lag_of_peak_xcorr(a, b):
@@ -166,17 +184,16 @@ class TestFilterCausal:
 class TestFiltfiltZeroPhase:
     def test_short_input_runs_the_scan(self, rng):
         # 4,410 samples pad to 4,464, not a whole number of blocks, so both
-        # passes take the scan, bit for bit.
+        # passes take the scan, bit for bit; one piece, so the peak-hold
+        # envelope is the same two passes over its staircase.
         design = make_design()
         x = rng.standard_normal(4410)
-        pad = default_pad_len(design)
-        ext = np.concatenate((2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2 : -pad - 2 : -1]))
-        sos = design.sections
-        fwd, _ = kernels._sos_scanned(sos, ext, _step_state(sos, ext[0]))
-        rev = fwd[::-1]
-        bwd, _ = kernels._sos_scanned(sos, rev, _step_state(sos, rev[0]))
-        out = filtfilt_zero_phase(design, Signal(x, 44100.0))
-        np.testing.assert_array_equal(out.samples, bwd[::-1][pad:-pad])
+        sig = Signal(x, 44100.0)
+        out = filtfilt_zero_phase(design, sig)
+        np.testing.assert_array_equal(out.samples, scanned_zero_phase(design, x))
+        staircase = bunch_max(rectify(sig), 35).samples
+        envelope = three_step_envelope(sig, EnvelopeParams(35, 150.0)).envelope
+        np.testing.assert_array_equal(envelope.samples, scanned_zero_phase(design, staircase))
 
     def test_constant_preserved(self):
         design = make_design()
@@ -255,6 +272,86 @@ class TestFiltfiltZeroPhase:
             filtfilt_zero_phase(design, Signal(np.zeros(27), 44100.0))
         # one past the pad is accepted
         filtfilt_zero_phase(design, Signal(np.zeros(28), 44100.0))
+
+
+class TestPieces:
+    """Inputs longer than a piece: the passes run piece by piece into one buffer."""
+
+    PIECE = 1000
+
+    @pytest.mark.parametrize("bunch", [None, 1, 7, 37, PIECE + 3])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("r", ["1", "pad", "pad+1", "piece-1"])
+    def test_matches_one_whole_array_pass(self, bunch, k, r, rng, monkeypatch):
+        monkeypatch.setattr(filtering, "_PIECE", self.PIECE)
+        design = make_design(cutoff=1000.0)
+        pad = default_pad_len(design)
+        step = bunch or 1
+        piece = step * max(self.PIECE // step, 1)  # whole bunches, at least one
+        n = k * piece + {"1": 1, "pad": pad, "pad+1": pad + 1, "piece-1": piece - 1}[r]
+        sig = Signal(rng.standard_normal(n), 44100.0)
+        calls = []
+        sos_filter = kernels.sos_filter
+        monkeypatch.setattr(kernels, "sos_filter", lambda *a: calls.append(len(a[1])) or sos_filter(*a))
+        if bunch is None:
+            staircase = sig.samples
+            ours = filtfilt_zero_phase(design, sig).samples
+        else:
+            staircase = bunch_max(rectify(sig), bunch).samples
+            ours = three_step_envelope(sig, EnvelopeParams(bunch, 1000.0)).envelope.samples
+        # A piece starts every ``piece`` samples while more than the pad are left.
+        assert len(calls) == 2 * len(range(0, n - pad, piece)) and sum(calls) == 2 * (n + 2 * pad)
+        assert len(calls) > 2 or n <= piece + pad
+        whole = scanned_zero_phase(design, staircase)
+        assert np.max(np.abs(ours - whole)) <= 1e-12 * np.max(np.abs(whole))
+        sos = np.column_stack((design.sections[:, :3], np.ones(2), design.sections[:, 3:]))
+        theirs = sps.sosfiltfilt(sos, staircase, padlen=pad)
+        np.testing.assert_allclose(ours, theirs, rtol=1e-9, atol=1e-12)
+
+    def test_envelope_equals_the_stages_on_one_piece_and_near_beyond(self, rng, monkeypatch):
+        monkeypatch.setattr(filtering, "_PIECE", self.PIECE)
+        p = EnvelopeParams(37, 1000.0)
+        piece = 37 * (self.PIECE // 37)
+        for n, exact in ((piece + 27, True), (3 * piece, False)):  # pad 27
+            sig = Signal(rng.standard_normal(n), 44100.0)
+            envelope = three_step_envelope(sig, p).envelope.samples
+            stages = three_step_stages(sig, p)[2].samples
+            if exact:
+                np.testing.assert_array_equal(envelope, stages)
+            else:
+                assert np.max(np.abs(envelope - stages)) <= 1e-12 * np.max(np.abs(stages))
+
+    def test_peak_memory_is_one_buffer_and_a_few_pieces(self):
+        # The buffer of n + 2 * pad samples, Signal's one-byte-a-sample
+        # finiteness check, and a piece's staircase, padded copy, kernel rows
+        # and output. Whole-length rectified, staircase and pass arrays would
+        # each add 8 MB.
+        n = 1 << 20
+        sig = Signal(np.sin(np.arange(n) * 0.01), 44100.0)
+        pad = default_pad_len(make_design())
+        bound = 8 * (n + 2 * pad) + n + 4 * 8 * filtering._PIECE + (1 << 18)
+        for bunch in (1, 50):
+            params = EnvelopeParams(bunch)
+            three_step_envelope(sig, params)  # operators built outside the trace
+            tracemalloc.start()
+            try:
+                three_step_envelope(sig, params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
+
+    def test_empty_and_short_inputs_keep_their_errors(self):
+        with pytest.raises(ValueError, match="^empty input$"):
+            three_step_envelope(Signal(np.zeros(0), 44100.0))
+        with pytest.raises(ValueError, match="^empty input$"):
+            envelope_follower(Signal(np.zeros(0), 44100.0))
+        short = r"^signal shorter than filter transient pad \(27 samples <= pad 27\)$"
+        with pytest.raises(ValueError, match=short):
+            three_step_envelope(Signal(np.zeros(27), 44100.0), EnvelopeParams(35))
+        with pytest.raises(ValueError, match=short):
+            envelope_follower(Signal(np.zeros(27), 44100.0))
+        three_step_envelope(Signal(np.zeros(28), 44100.0))  # one past the pad is accepted
 
 
 class TestChunkedEnvelopeStream:
