@@ -27,7 +27,7 @@ from .bench import (
     REFERENCE_DURATION_S, RUNTIME_REPEATS, RUNTIME_WARMUP, SYNTH_KINDS, SyntheticSpec,
     compare_methods, generate, three_step_runtime_ms,
 )
-from .envelopes import PRESETS, RMS_WINDOW, EnvelopeParams, three_step_envelope, three_step_stages
+from .envelopes import PRESETS, RMS_WINDOW, EnvelopeParams, three_step_stages
 from .filter_design import FilterSpec, butterworth_lowpass, frequency_response
 
 
@@ -71,10 +71,7 @@ def cmd_envelope(args) -> int:
     if any(kind == "wav" for kind, _ in plan):
         wav_header_rate(sig.sample_rate)  # before any output file is opened
     t0 = time.perf_counter()
-    if any(kind == "csv" for kind, _ in plan):
-        rectified, staircase, envelope = three_step_stages(sig, params)
-    else:  # never holds the full-length rectified waveform or staircase
-        envelope = three_step_envelope(sig, params).envelope
+    rectified, staircase, envelope = three_step_stages(sig, params)
     runtime_ms = (time.perf_counter() - t0) * 1e3
 
     written = []

@@ -100,13 +100,11 @@ def three_step_envelope(s: Signal, params: EnvelopeParams | None = None) -> Enve
     the classical estimators. Filter ringing can make the output dip
     slightly below zero near sharp transitions.
 
-    The three stages run together on pieces of about 2^17 samples, each a
-    whole number of bunches, so neither the rectified waveform nor the
-    staircase is ever held at full length: besides the input, memory is one
-    float64 buffer of the padded length, of which the envelope is a view.
-    ``three_step_stages`` returns all three stages, with the same envelope
-    bit for bit wherever the input is one piece, and within rounding (about
-    1e-14 of its peak) beyond.
+    The three stages run together on pieces of 2^17 samples, so neither the
+    rectified waveform nor the staircase is ever held at full length:
+    besides the input, memory is one float64 buffer of the padded length,
+    of which the envelope is a view. ``three_step_stages`` returns all three
+    stages, with the same envelope bit for bit.
     """
     p = params if params is not None else EnvelopeParams()
     return EnvelopeResult(_peak_hold(s, p), "three_step", asdict(p))

@@ -24,8 +24,8 @@ input's length:
   product. That avoids a Python step per block, 3-5x faster, but a block's
   rounding then depends on where it sits in the input. The zero-phase
   driver behind ``filtfilt_zero_phase`` and the peak-hold envelope feeds
-  each pass in pieces of about 2^17 samples, the first and last with their
-  pads, or a shorter input as one padded array. These take the scan unless
+  each pass in pieces of 2^17 samples, the first and last with their pads,
+  or a shorter input as one padded array. These take the scan unless
   their length is one of the carried ones above: a short last piece, or a
   padded input of whole blocks up to ``CARRY_SPAN``.
 """

@@ -285,9 +285,7 @@ class TestPieces:
     def test_matches_one_whole_array_pass(self, bunch, k, r, rng, monkeypatch):
         monkeypatch.setattr(filtering, "_PIECE", self.PIECE)
         design = make_design(cutoff=1000.0)
-        pad = default_pad_len(design)
-        step = bunch or 1
-        piece = step * max(self.PIECE // step, 1)  # whole bunches, at least one
+        pad, piece = default_pad_len(design), self.PIECE
         n = k * piece + {"1": 1, "pad": pad, "pad+1": pad + 1, "piece-1": piece - 1}[r]
         sig = Signal(rng.standard_normal(n), 44100.0)
         calls = []
@@ -308,18 +306,19 @@ class TestPieces:
         theirs = sps.sosfiltfilt(sos, staircase, padlen=pad)
         np.testing.assert_allclose(ours, theirs, rtol=1e-9, atol=1e-12)
 
-    def test_envelope_equals_the_stages_on_one_piece_and_near_beyond(self, rng, monkeypatch):
+    @pytest.mark.parametrize("bunch", [1, 7, 37, PIECE + 3])
+    @pytest.mark.parametrize("n", [PIECE + 27, 3 * PIECE + 1, 3 * PIECE + 500])  # pad 27
+    def test_envelope_equals_the_stages_bit_for_bit(self, bunch, n, rng, monkeypatch):
+        # Pieces are cut where they are whatever the bunch, so the envelope
+        # made in pieces is the zero-phase filter of the whole staircase.
         monkeypatch.setattr(filtering, "_PIECE", self.PIECE)
-        p = EnvelopeParams(37, 1000.0)
-        piece = 37 * (self.PIECE // 37)
-        for n, exact in ((piece + 27, True), (3 * piece, False)):  # pad 27
-            sig = Signal(rng.standard_normal(n), 44100.0)
-            envelope = three_step_envelope(sig, p).envelope.samples
-            stages = three_step_stages(sig, p)[2].samples
-            if exact:
-                np.testing.assert_array_equal(envelope, stages)
-            else:
-                assert np.max(np.abs(envelope - stages)) <= 1e-12 * np.max(np.abs(stages))
+        p = EnvelopeParams(bunch, 1000.0)
+        sig = Signal(rng.standard_normal(n), 44100.0)
+        envelope = three_step_envelope(sig, p).envelope.samples
+        np.testing.assert_array_equal(envelope, three_step_stages(sig, p)[2].samples)
+        if bunch == 1:
+            follower = envelope_follower(sig, 1000.0).envelope.samples
+            np.testing.assert_array_equal(follower, envelope)
 
     def test_peak_memory_is_one_buffer_and_a_few_pieces(self):
         # The buffer of n + 2 * pad samples, Signal's one-byte-a-sample
