@@ -238,7 +238,6 @@ _CSV_BLOCK = 4096  # write_csv rows per encoded block; bounds the encoder's buff
 # concatenation.
 
 _POW10 = 10.0 ** np.arange(13)  # every power used is exact in float64
-_VELTKAMP = 134217729.0  # 2^27 + 1: splits a float64 into two 26-bit halves
 
 
 class _CsvTables(NamedTuple):
@@ -300,12 +299,14 @@ def _csv_tables() -> _CsvTables:
 
 
 def _mantissa(a: np.ndarray, e: np.ndarray, m: np.ndarray, p: np.ndarray, index: np.ndarray) -> None:
-    """m = printf's rounding of a * 10^(8 - e) to an integer.
+    """m = printf's rounding of a * 10^(8 - e) to an integer, or 0 to leave a to printf.
 
     printf rounds the exact product, half to even, as rint does the float
-    product. The two differ only where the float product is exactly a
-    half-integer and the exact product is not; the product's rounding
-    error, found exactly by Dekker's product, settles those. ``p`` and
+    product. The two can differ only where the float product is exactly a
+    half-integer. 10^(8 - e) is 5^k * 2^k with 5^k < 2^28, so for an a of at
+    most 24 significant bits (every pcm16, pcm24 and float32 sample) the
+    product is exact and rint settles its tie as printf does. Any other a
+    whose product is a tie gets m = 0, which hands it to printf. ``p`` and
     ``index`` are work space of a's size.
     """
     np.subtract(8, e, out=index)
@@ -315,48 +316,33 @@ def _mantissa(a: np.ndarray, e: np.ndarray, m: np.ndarray, p: np.ndarray, index:
     p -= m
     ties = np.flatnonzero(np.abs(p, out=p) == 0.5)
     if ties.size:
-        x, y = a[ties], _POW10[8 - e[ties]]
-        xy = x * y
-        xh = _VELTKAMP * x
-        xh -= xh - x
-        yh = _VELTKAMP * y
-        yh -= yh - y
-        xl, yl = x - xh, y - yh
-        error = ((xh * yh - xy) + xh * yl + xl * yh) + xl * yl  # x * y - xy, exactly
-        m[ties] = np.where(error == 0, m[ties], xy + 0.5 * np.sign(error))
+        x = a[ties]  # in [5e-13, 2^53): float32 holds x just when x has at most 24 bits
+        m[ties[x.astype(np.float32) != x]] = 0
 
 
 class _CsvEncoder:
     """printf's ``%.9g`` text for blocks of rows of float64 values.
 
-    Fixed notation is built with NumPy in work buffers made once, so that
-    encoding a block allocates little. Values that printf writes in
-    exponent notation (|v| < 1e-4 or >= 1e9 after rounding to 9 digits),
-    and any non-finite ones, are formatted by printf itself.
+    Fixed notation is built with NumPy in plain work arrays made once per
+    encoder, each sized for a whole block, so that encoding a block
+    allocates little. Values that printf writes in exponent notation
+    (|v| < 1e-4 or >= 1e9 after rounding to 9 digits), ties that ``_mantissa``
+    cannot settle, and any non-finite values are formatted by printf itself.
     """
 
     def __init__(self, rows: int, columns: int):
         size = rows * columns
         self._tables = _csv_tables()
+        self.rows = np.empty((rows, columns))
+        self._floats = np.empty((3, size))
+        self._ints = np.empty((9, size), np.intp)
+        self._words = np.empty((6, size), np.uint64)
+        self._last = np.zeros(size, np.intp)  # each column's shape-key offset
+        self._last[columns - 1 :: columns] = _LAST_KEY
+        self._flags = np.empty((2, size), np.bool_)
         # The text takes at most _FIELD_MAX bytes a field, and a field is
         # summed into the 3 words from its start: 3 spare words.
-        out_words = _FIELD_MAX * size // 8 + 3
-        # All buffers are one allocation of 8-byte words, cut in this order:
-        # the rows to encode, 3 float, 9 integer and 6 word arrays, each
-        # column's shape-key offset, the text, and 2 flag arrays. Freed in
-        # one piece, it left perfbench's clips_csv peak RSS ~0.6 MB lower
-        # than separate arrays did.
-        counts = [size, 3 * size, 9 * size, 6 * size, size, out_words]
-        words = np.empty(sum(counts) + -(-2 * size // 8), np.uint64)
-        rows_, floats, ints, words_, last, self._out, flags = np.split(words, np.cumsum(counts))
-        self.rows = rows_.view(np.float64).reshape(rows, columns)
-        self._floats = floats.view(np.float64).reshape(3, size)
-        self._ints = ints.view(np.intp).reshape(9, size)
-        self._words = words_.reshape(6, size)
-        self._last = last.view(np.intp)
-        self._last[:] = 0
-        self._last[columns - 1 :: columns] = _LAST_KEY
-        self._flags = flags.view(np.bool_)[: 2 * size].reshape(2, size)
+        self._out = np.empty(_FIELD_MAX * size // 8 + 3, np.uint64)
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """The text of whole rows, given flattened row by row; a uint8 view of a buffer."""

@@ -8,8 +8,9 @@ Subcommands:
 * ``bench``       time the pipeline against a runtime budget
 * ``filter-dump`` print designed filter coefficients and response table
 
-Exit codes: 0 success, 1 I/O error, 2 validation error, 3 benchmark over
-budget. Errors are a single line on stderr; success writes nothing there.
+Exit codes: 0 success, 1 I/O or out-of-memory error, 2 validation error,
+3 benchmark over budget. Errors are a single line on stderr; success writes
+nothing there.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .bench import (
 )
 from .envelopes import PRESETS, RMS_WINDOW, EnvelopeParams, three_step_stages
 from .filter_design import FilterSpec, butterworth_lowpass, frequency_response
+from .signals import _positive_finite, _positive_int
 
 
 def _resolve_params(args) -> EnvelopeParams:
@@ -174,6 +176,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    budget_ms = _positive_finite(args.budget_ms, "budget must be a positive number of ms, got %(value)r")
     params = EnvelopeParams(args.bunch, args.cutoff, args.order)
     spec = SyntheticSpec(duration_s=args.duration, sample_rate_hz=args.rate)
     print(
@@ -182,14 +185,15 @@ def cmd_bench(args) -> int:
     )
     measured = three_step_runtime_ms(args.duration, args.rate, params)
     print("runtime: %.3f ms (median of %d after %d warmup)" % (measured, RUNTIME_REPEATS, RUNTIME_WARMUP))
-    if measured < args.budget_ms:
-        print("PASS: %.3f ms within %g ms budget" % (measured, args.budget_ms))
+    if measured < budget_ms:
+        print("PASS: %.3f ms within %g ms budget" % (measured, budget_ms))
         return 0
-    print("FAIL: %.3f ms exceeds %g ms budget" % (measured, args.budget_ms))
+    print("FAIL: %.3f ms exceeds %g ms budget" % (measured, budget_ms))
     return 3
 
 
 def cmd_filter_dump(args) -> int:
+    points = _positive_int(args.points, "points must be a positive integer, got %(value)r")
     design = butterworth_lowpass(FilterSpec(args.cutoff, args.rate, args.order))
     for i, (b0, b1, b2, a1, a2) in enumerate(design.sections, 1):
         print(
@@ -197,7 +201,7 @@ def cmd_filter_dump(args) -> int:
         )
 
     nyquist = args.rate / 2.0
-    freqs = np.union1d(np.linspace(0.0, nyquist, args.points), [args.cutoff])
+    freqs = np.union1d(np.linspace(0.0, nyquist, points), [args.cutoff])
     h = frequency_response(design, freqs)
     magnitude = np.abs(h)
     mag_db = 20.0 * np.log10(np.maximum(magnitude, 1e-15))
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump = sub.add_parser("filter-dump", help="print filter coefficients and response")
     dump.add_argument("--cutoff", type=float, required=True, help="cutoff Hz")
     dump.add_argument("--order", type=int, default=EnvelopeParams.filter_order)
-    dump.add_argument("--rate", type=float, default=44100.0)
+    dump.add_argument("--rate", type=float, default=SyntheticSpec.sample_rate_hz)
     dump.add_argument("--points", type=int, default=256, help="response grid size")
     dump.add_argument("-o", "--output", help="write the response table as CSV here")
     dump.set_defaults(func=cmd_filter_dump)
@@ -300,6 +304,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (WavFormatError, OSError) as exc:
         print("ampenv: %s" % exc, file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("ampenv: out of memory: %s" % (str(exc) or "allocation failed"), file=sys.stderr)
         return 1
     except ValueError as exc:
         print("ampenv: %s" % exc, file=sys.stderr)

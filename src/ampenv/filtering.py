@@ -58,16 +58,25 @@ class FilterState:
         return state
 
 
+def _check_rate(design: FilterDesign, s: Signal) -> None:
+    if s.sample_rate != design.sample_rate_hz:
+        raise ValueError(
+            "inconsistent sample rate: signal at %g Hz, filter designed for %g Hz"
+            % (s.sample_rate, design.sample_rate_hz)
+        )
+
+
 def filter_causal(
     design: FilterDesign, s: Signal, state: FilterState | None = None
 ) -> tuple[Signal, FilterState]:
     """Single-pass forward filtering; returns (output, final state).
 
-    Feeding the returned state into the next call continues seamlessly:
-    filtering two chunks with carried state reproduces, bit for bit, the
-    output and final state of filtering their concatenation with a fresh
-    state.
+    ``s`` must have the design's sample rate. Feeding the returned state
+    into the next call continues seamlessly: filtering two chunks with
+    carried state reproduces, bit for bit, the output and final state of
+    filtering their concatenation with a fresh state.
     """
+    _check_rate(design, s)
     if state is None:
         state = FilterState.zeros(design)
     if state.values.shape != (design.n_sections, 2):
@@ -125,8 +134,10 @@ def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
     products over blocks (``kernels.sos_filter``), not sample by sample, in
     pieces of 2^17 samples carrying the state from piece to piece, so
     besides the input only one float64 buffer of the padded length is held
-    (the output is a view of it, not a copy).
+    (the output is a view of it, not a copy). ``s`` must have the design's
+    sample rate.
     """
+    _check_rate(design, s)
     return _zero_phase(design, s)
 
 
@@ -207,25 +218,18 @@ def chunked_envelope_stream(
     Each chunk is rectified, bunch-maxed, and run through the causal filter
     with state carried across chunks, so the concatenated output equals the
     offline causal pipeline on the concatenated input. Chunks must be
-    nonempty multiples of the bunch size and share one sample rate. This
+    nonempty multiples of the bunch size at the design's sample rate. This
     mode is causal: it has the single-pass filter's group delay and is not
     zero-phase.
     """
     if not isinstance(spec, BunchSpec):
         spec = BunchSpec(spec)
     state = FilterState.zeros(design)
-    rate = None
     for chunk in chunks:
         if len(chunk) == 0 or len(chunk) % spec.bunch_size:
             raise ValueError(
                 "chunk not bunch-aligned: length %d is not a positive multiple of %d"
                 % (len(chunk), spec.bunch_size)
-            )
-        if rate is None:
-            rate = chunk.sample_rate
-        elif chunk.sample_rate != rate:
-            raise ValueError(
-                "inconsistent sample rate: %g Hz after %g Hz" % (chunk.sample_rate, rate)
             )
         staircase = bunch_max(rectify(chunk), spec)
         out, state = filter_causal(design, staircase, state)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import decode_frames, wav_bytes
 
 from ampenv import Signal, WavFormatError, read_wav, to_mono, write_csv, write_wav
-from ampenv.audio_io import _WAV_BLOCK
+from ampenv.audio_io import _WAV_BLOCK, AudioFile
 
 
 def pcm16_wav_bytes(samples, rate=44100, channels=1):
@@ -243,6 +243,21 @@ class TestReadWav:
         path = tmp_path / "foreign.wav"
         path.write_bytes(extensible_wav_bytes([0, 16384], guid, 16, "h"))
         with pytest.raises(WavFormatError, match="unsupported codec"):
+            read_wav(path)
+
+    def test_extensible_fmt_chunk_under_40_bytes_rejected(self, tmp_path):
+        path = tmp_path / "short_ext.wav"
+        path.write_bytes(extensible_wav_bytes([0, 16384], b"", 16, "h"))  # a 24-byte fmt chunk
+        with pytest.raises(WavFormatError, match="extensible fmt chunk too small"):
+            read_wav(path)
+
+    @pytest.mark.parametrize(
+        "channels, rate, message", [(0, 44100, "zero channels declared"), (1, 0, "zero sample rate declared")]
+    )
+    def test_zero_channels_or_rate_rejected(self, tmp_path, channels, rate, message):
+        path = tmp_path / "zero.wav"
+        path.write_bytes(pcm16_wav_bytes([0, 16384], rate=rate, channels=channels))
+        with pytest.raises(WavFormatError, match=message):
             read_wav(path)
 
     def test_missing_file_is_oserror(self, tmp_path):
@@ -534,6 +549,23 @@ class TestWriteCsv:
                 tmp_path / "bad.csv",
                 {"a": Signal([1.0], 10.0), "b": Signal([1.0], 20.0)},
             )
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb"])
+    def test_name_that_would_break_the_header_rejected(self, tmp_path, name):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="invalid signal name"):
+            write_csv(path, {name: Signal([1.0], 10.0)})
+        assert not path.exists()
+
+
+class TestAudioFile:
+    def test_no_channels_rejected(self):
+        with pytest.raises(ValueError, match="at least one channel"):
+            AudioFile((), 44100.0, "pcm16")
+
+    def test_channels_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="signal length mismatch across channels"):
+            AudioFile((Signal([0.0, 1.0], 44100.0), Signal([0.0], 44100.0)), 44100.0, "pcm16")
 
 
 class TestToMono:

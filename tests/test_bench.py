@@ -47,6 +47,10 @@ class TestGenerate:
         sig, truth = generate(SyntheticSpec("chirp_am", (500.0, 4000.0), 5.0, 0.5, 0.5, 44100.0))
         assert len(sig) == len(truth) == 22050
 
+    def test_am_tone_takes_one_carrier(self):
+        with pytest.raises(ValueError, match="am_tone takes a single carrier"):
+            SyntheticSpec("am_tone", (1000.0, 2000.0))
+
     def test_noise_burst_seed_determinism(self):
         a, _ = generate(SyntheticSpec("noise_burst", seed=7, duration_s=0.1))
         b, _ = generate(SyntheticSpec("noise_burst", seed=7, duration_s=0.1))
@@ -157,6 +161,14 @@ class TestCompareMethods:
         sig, _ = generate(SyntheticSpec(duration_s=0.3))
         with pytest.raises(ValueError, match="unknown method"):
             compare_methods(sig, None, [("wavelet", {})])
+
+    def test_zero_truth_gives_zero_or_infinite_ratios(self):
+        # A silent ground truth: a silent estimate scores 0, any other inf.
+        silence = Signal(np.zeros(4410), 44100.0)
+        tone = Signal(np.sin(np.arange(4410) * 0.3), 44100.0)
+        for sig, expected in ((silence, 0.0), (tone, np.inf)):
+            row = compare_methods(sig, silence, [("rms", {})]).rows[0]
+            assert (row.rmse_rel, row.peak_ratio, row.mean_ratio) == (expected,) * 3
 
     def test_truth_length_mismatch(self):
         sig, _ = generate(SyntheticSpec(duration_s=0.3))

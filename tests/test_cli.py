@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from ampenv import PRESETS, Signal, cli, filtering, read_wav, three_step_envelope, to_mono, write_wav
+from ampenv import PRESETS, Signal, SyntheticSpec, cli, filtering, read_wav, three_step_envelope, to_mono, write_wav
 from ampenv.cli import main
 
 
@@ -115,6 +115,19 @@ class TestEnvelopeCommand:
         expected = dotted.with_name("my.tone_envelope.csv")
         assert expected.exists()
         assert str(expected) in stdout
+
+    def test_wav_clip_note(self, capsys, tmp_path):
+        # A full-scale square burst: the low-pass overshoots the staircase's
+        # step, so the envelope rises above 1 and the WAV clips it.
+        t = np.arange(13230) / 44100.0
+        x = np.where((t > 0.1) & (t < 0.2), np.sign(np.sin(2.0 * np.pi * 1000.0 * t)), 0.0)
+        wav = tmp_path / "burst.wav"
+        write_wav(wav, Signal(x, 44100.0))
+        code, stdout, stderr = run(capsys, "envelope", str(wav), "-o", str(tmp_path / "env.wav"))
+        assert (code, stderr) == (0, "")
+        clipped = int(np.count_nonzero(three_step_envelope(read_wav(wav).channels[0]).envelope.samples > 1.0))
+        assert clipped > 0
+        assert stdout.endswith("note: %d envelope samples clipped to [-1, 1] in WAV output\n" % clipped)
 
     def test_missing_input_exits_1(self, capsys, tmp_path):
         missing = tmp_path / "ghost.wav"
@@ -372,6 +385,23 @@ class TestBenchCommand:
         assert code == 3
         assert "FAIL" in stdout
 
+    @pytest.mark.parametrize("budget", ["nan", "0", "-5", "inf"])
+    def test_budget_not_positive_and_finite_exits_2(self, capsys, budget):
+        code, stdout, stderr = run(capsys, "bench", "--duration", "0.2", "--budget-ms", budget)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("ampenv: budget must be a positive number of ms")
+        assert stderr.count("\n") == 1
+
+
+def test_out_of_memory_exits_1(capsys, tmp_path, monkeypatch):
+    # 4.4e16 samples: numpy refuses the request before touching memory.
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, "synth", "-o", "x.wav", "--duration", "1e12")
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("ampenv: out of memory: ")
+    assert stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -439,6 +469,16 @@ class TestFilterDumpCommand:
         code, _, stderr = run(capsys, "filter-dump", "--cutoff", "30000", "--rate", "44100")
         assert code == 2
         assert "cutoff above Nyquist" in stderr
+
+    @pytest.mark.parametrize("points", ["-3", "0"])
+    def test_points_not_positive_exits_2(self, capsys, points):
+        code, stdout, stderr = run(capsys, "filter-dump", "--cutoff", "300", "--points", points)
+        assert (code, stdout) == (2, "")
+        assert stderr == "ampenv: points must be a positive integer, got %s\n" % points
+
+    def test_default_rate_is_the_synthetic_default(self, monkeypatch):
+        monkeypatch.setattr(SyntheticSpec, "sample_rate_hz", 48000.0)
+        assert cli.build_parser().parse_args(["filter-dump", "--cutoff", "300"]).rate == 48000.0
 
 
 def test_calls_in_one_process_are_independent(capsys, tone_wav, tmp_path):

@@ -137,6 +137,33 @@ def test_blocks_of_the_longest_fields_equal_printf(tmp_path, columns, rate):
     assert path.read_bytes() == printf_csv(signals)
 
 
+# k / 32768 with k = 32 (mod 64) is (2j + 1) / 1024, whose nine digits in
+# [0.1, 1) end in an exact half: printf rounds it to even.
+PCM16_TIES = np.arange(32, 32768, 64) / 32768.0
+PCM16_TIES = PCM16_TIES[PCM16_TIES >= 0.1]
+
+
+def test_pcm16_ties_equal_printf(tmp_path):
+    columns = {"tie": Signal(PCM16_TIES, 44100.0), "negated": Signal(-PCM16_TIES, 44100.0)}
+    path = tmp_path / "ties.csv"
+    write_csv(path, columns)
+    assert path.read_bytes() == printf_csv(columns)
+
+
+def test_exact_ties_stay_in_numpy_and_inexact_ones_go_to_printf():
+    # A product of a 24-bit value and a power of ten is exact, so rint's
+    # half to even is printf's; 10091.38125 * 10^4 rounds to a half in
+    # float64 but is not one, so its mantissa is left to printf (m = 0).
+    from ampenv.audio_io import _mantissa
+
+    a = np.append(PCM16_TIES, [10091.38125, 12038.78975])
+    e = np.floor(np.log10(a)).astype(np.intp)
+    m = np.empty(a.size)
+    _mantissa(a, e, m, np.empty(a.size), np.empty(a.size, np.intp))
+    assert m[:-2].tolist() == [int(("%.8e" % v)[:10].replace(".", "")) for v in PCM16_TIES]
+    assert m[-2:].tolist() == [0.0, 0.0]
+
+
 def _decimal_ties():
     # K / 2^j with K odd has K * 5^j as its digits, ending in 5: ten of them
     # make a value exactly halfway between two 9-digit decimals.

@@ -173,6 +173,10 @@ class TestRms:
         out = envelope_rms(Signal(x, 10.0), w)
         np.testing.assert_allclose(out.envelope.samples, naive_rms(x, w), rtol=1e-12)
 
+    def test_empty_input_gives_an_empty_envelope(self):
+        out = envelope_rms(Signal([], 8000.0), 7)
+        assert (len(out.envelope), out.envelope.sample_rate, out.params) == (0, 8000.0, {"window_samples": 7})
+
     def test_invalid_window(self):
         with pytest.raises(ValueError, match="invalid window"):
             envelope_rms(sine(duration=0.01), 0)

@@ -3,6 +3,7 @@ import pytest
 from scipy import signal as sps
 
 from ampenv import (
+    FilterDesign,
     FilterSpec,
     Signal,
     butterworth_lowpass,
@@ -137,6 +138,15 @@ class TestValidation:
             FilterSpec(100.0, 44100.0, 0)
         with pytest.raises(ValueError, match="invalid filter spec"):
             FilterSpec(100.0, -1.0, 4)
+
+    def test_sections_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="sections must have shape"):
+            FilterDesign(np.zeros((2, 4)), 4, 300.0, 44100.0)
+
+    def test_pole_on_the_unit_circle_rejected(self):
+        # At 1e-9 Hz the poles round to within _STABILITY_MARGIN of radius 1.
+        with pytest.raises(ValueError, match="unstable filter design: pole radius"):
+            butterworth_lowpass(FilterSpec(1e-9, 44100.0, 4))
 
     def test_frequency_out_of_band(self):
         design = butterworth_lowpass(FilterSpec(300.0, 44100.0, 4))

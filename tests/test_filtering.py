@@ -164,6 +164,10 @@ class TestFilterCausal:
         with pytest.raises(ValueError, match="state dimension mismatch"):
             filter_causal(design, Signal(np.zeros(10), 44100.0), bad)
 
+    def test_state_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="state must have shape"):
+            FilterState(np.zeros((2, 3)))
+
     def test_state_of_another_design_mismatch(self, rng):
         # A returned state also carries its open block; the check still holds.
         _, state = filter_causal(make_design(order=8), Signal(rng.standard_normal(200), 44100.0))
@@ -401,9 +405,22 @@ class TestChunkedEnvelopeStream:
         with pytest.raises(ValueError, match="chunk not bunch-aligned"):
             list(chunked_envelope_stream(design, 35, chunks))
 
+    def test_chunks_at_another_rate_than_the_design_rejected(self):
+        # Every chunk at 48 kHz through a 44.1 kHz design: one rate throughout,
+        # but the wrong one for the filter.
+        chunks = [Signal(np.zeros(35), 48000.0)] * 2
+        with pytest.raises(ValueError, match="signal at 48000 Hz, filter designed for 44100 Hz"):
+            list(chunked_envelope_stream(make_design(), 35, chunks))
+
     def test_inconsistent_rate_rejected(self):
         design = make_design()
         chunks = [Signal(np.zeros(35), 44100.0), Signal(np.zeros(35), 48000.0)]
         with pytest.raises(ValueError, match="inconsistent sample rate"):
             list(chunked_envelope_stream(design, 35, chunks))
 
+
+@pytest.mark.parametrize("run", [filter_causal, filtfilt_zero_phase])
+def test_signal_at_another_rate_than_the_design_rejected(run):
+    # A 150 Hz design for 44.1 kHz would put the cutoff near 163 Hz at 48 kHz.
+    with pytest.raises(ValueError, match=r"^inconsistent sample rate: signal at 48000 Hz, filter designed for 44100 Hz$"):
+        run(make_design(), Signal(np.zeros(1000), 48000.0))
