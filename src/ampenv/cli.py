@@ -8,9 +8,9 @@ Subcommands:
 * ``bench``       time the pipeline against a runtime budget
 * ``filter-dump`` print designed filter coefficients and response table
 
-Exit codes: 0 success, 1 I/O or out-of-memory error, 2 validation error,
-3 benchmark over budget. Errors are a single line on stderr; success writes
-nothing there.
+Exit codes: 0 success, 1 I/O or out-of-memory error, 2 validation error (a
+malformed command line included), 3 benchmark over budget. Errors are a
+single line on stderr; success writes nothing there.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .audio_io import WavFormatError, read_wav, to_mono, wav_header_rate, write_csv, write_wav
 from .bench import (
-    REFERENCE_DURATION_S, RUNTIME_REPEATS, RUNTIME_WARMUP, SYNTH_KINDS, SyntheticSpec,
+    ESTIMATORS, REFERENCE_DURATION_S, RUNTIME_REPEATS, RUNTIME_WARMUP, SYNTH_KINDS, SyntheticSpec,
     compare_methods, generate, three_step_runtime_ms,
 )
 from .envelopes import PRESETS, RMS_WINDOW, EnvelopeParams, three_step_stages
@@ -106,18 +106,21 @@ def cmd_envelope(args) -> int:
     return 0
 
 
+def _synthetic_spec(args) -> SyntheticSpec:
+    """The synthetic input that compare's, synth's or bench's options describe.
+
+    A field that the command has no option for keeps SyntheticSpec's default.
+    """
+    fields = {"kind": "kind", "carrier": "carrier_hz", "modulator": "modulator_hz", "depth": "depth",
+              "duration": "duration_s", "rate": "sample_rate_hz", "seed": "seed"}  # option dest -> field
+    return SyntheticSpec(**{fields[dest]: value for dest, value in vars(args).items() if dest in fields})
+
+
 def _compare_input(args):
     if args.input:
         audio = read_wav(args.input)
         return to_mono(audio, args.channel), None, args.input
-    spec = SyntheticSpec(
-        carrier_hz=args.carrier,
-        modulator_hz=args.modulator,
-        depth=args.depth,
-        duration_s=args.duration,
-        sample_rate_hz=args.rate,
-    )
-    sig, truth = generate(spec)
+    sig, truth = generate(_synthetic_spec(args))
     label = "synthetic AM tone (carrier %g Hz, modulator %g Hz, depth %g)" % (
         args.carrier,
         args.modulator,
@@ -129,8 +132,6 @@ def _compare_input(args):
 def cmd_compare(args) -> int:
     sig, truth, label = _compare_input(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if args.with_hilbert and "hilbert" not in methods:
-        methods.append("hilbert")
     flag_configs = {
         "three_step": {"bunch_size": args.bunch, "cutoff_hz": args.cutoff, "filter_order": args.order},
         "follower": {"cutoff_hz": args.follower_cutoff, "filter_order": args.order},
@@ -140,23 +141,13 @@ def cmd_compare(args) -> int:
     print("input: %s (%d samples @ %g Hz)" % (label, len(sig), sig.sample_rate))
     print(report.to_table())
     if args.output:
-        with open(args.output, "w", newline="") as f:
-            f.write(report.to_csv())
+        Path(args.output).write_text(report.to_csv(), newline="")
         print("wrote %s" % args.output)
     return 0
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        kind=args.kind,
-        carrier_hz=tuple(args.carrier),
-        modulator_hz=args.modulator,
-        depth=args.depth,
-        duration_s=args.duration,
-        sample_rate_hz=args.rate,
-        seed=args.seed,
-    )
-    sig, truth = generate(spec)
+    sig, truth = generate(_synthetic_spec(args))
 
     written = []
     for kind, path in _output_plan(args, ("wav", "csv")):
@@ -178,7 +169,7 @@ def cmd_synth(args) -> int:
 def cmd_bench(args) -> int:
     budget_ms = _positive_finite(args.budget_ms, "budget must be a positive number of ms, got %(value)r")
     params = EnvelopeParams(args.bunch, args.cutoff, args.order)
-    spec = SyntheticSpec(duration_s=args.duration, sample_rate_hz=args.rate)
+    spec = _synthetic_spec(args)
     print(
         "three-step pipeline: %d samples (%g s @ %g Hz), bunch=%d cutoff=%g Hz order=%d"
         % (spec.n_samples, args.duration, args.rate, params.bunch_size, params.cutoff_hz, params.filter_order)
@@ -211,16 +202,23 @@ def cmd_filter_dump(args) -> int:
         lines.append("%.9g,%.9g,%.9g" % (f, m, p))
     table = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", newline="") as f:
-            f.write(table)
+        Path(args.output).write_text(table, newline="")
         print("wrote %s" % args.output)
     else:
         print(table, end="")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are ValueErrors, so a malformed command
+    line ends in ``main``'s handler like any other validation error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ampenv", description="Amplitude envelope estimation and comparison."
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -239,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="compare envelope methods")
     cmp_.add_argument("input", nargs="?", help="input WAV; omit to use a synthetic AM tone")
     cmp_.add_argument("-o", "--output", help="write the report as CSV here")
-    cmp_.add_argument("--methods", default="three_step,follower,rms", help="comma-separated method list")
-    cmp_.add_argument("--with-hilbert", action="store_true", help="add the Hilbert method")
+    cmp_.add_argument("--methods", default="three_step,follower,rms", help="comma-separated list of %s (default %%(default)s)" % ", ".join(ESTIMATORS))
     # --bunch/--cutoff default to the peak-hold setting of the method-comparison figure
     cmp_.add_argument("--bunch", type=int, default=35, help="three-step bunch size (default %(default)d)")
     cmp_.add_argument("--cutoff", type=float, default=120.0, help="three-step cutoff Hz (default %(default)g)")
@@ -299,8 +296,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (WavFormatError, OSError) as exc:
         print("ampenv: %s" % exc, file=sys.stderr)

@@ -47,9 +47,9 @@ class EnvelopeParams:
     filter_order: int = FilterSpec.order
 
     def __post_init__(self):
-        BunchSpec(self.bunch_size)  # reuse its validation
-        _positive_finite(self.cutoff_hz, "invalid filter spec: cutoff must be positive")
-        _positive_int(self.filter_order, "invalid filter spec: order must be a positive integer")
+        object.__setattr__(self, "bunch_size", BunchSpec(self.bunch_size).bunch_size)
+        object.__setattr__(self, "cutoff_hz", _positive_finite(self.cutoff_hz, "invalid filter spec: cutoff must be positive"))
+        object.__setattr__(self, "filter_order", _positive_int(self.filter_order, "invalid filter spec: order must be a positive integer"))
 
 
 #: Default sliding-RMS window, in samples.
@@ -87,7 +87,7 @@ def three_step_stages(
     p = params if params is not None else EnvelopeParams()
     design = butterworth_lowpass(FilterSpec(p.cutoff_hz, s.sample_rate, p.filter_order))
     rectified = rectify(s)
-    staircase = bunch_max(rectified, BunchSpec(p.bunch_size))
+    staircase = bunch_max(rectified, p.bunch_size)
     envelope = filtfilt_zero_phase(design, staircase)
     return rectified, staircase, envelope
 
@@ -115,7 +115,7 @@ def _peak_hold(s: Signal, p: EnvelopeParams) -> Signal:
     design = butterworth_lowpass(FilterSpec(p.cutoff_hz, s.sample_rate, p.filter_order))
     if len(s) == 0:
         raise ValueError("empty input")
-    return _zero_phase(design, s, BunchSpec(p.bunch_size).bunch_size)
+    return _zero_phase(design, s, p.bunch_size)
 
 
 def envelope_follower(
@@ -128,8 +128,8 @@ def envelope_follower(
     of the rectified waveform (2A/pi for a sinusoid of amplitude A), i.e.
     systematically below the peak level.
     """
-    envelope = _peak_hold(s, EnvelopeParams(1, cutoff_hz, filter_order))
-    return EnvelopeResult(envelope, "follower", {"cutoff_hz": float(cutoff_hz), "filter_order": int(filter_order)})
+    p = EnvelopeParams(1, cutoff_hz, filter_order)
+    return EnvelopeResult(_peak_hold(s, p), "follower", {"cutoff_hz": p.cutoff_hz, "filter_order": p.filter_order})
 
 
 def envelope_rms(s: Signal, window_samples: int = RMS_WINDOW) -> EnvelopeResult:

@@ -112,11 +112,10 @@ def bunch_max(s: Signal, spec: BunchSpec | int) -> Signal:
 
 def _bunch_peaks(x: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """Write into ``out`` (which may be ``x`` itself) each sample's n-sample bunch maximum; returns ``out``."""
+    peaks = np.maximum.reduceat(x, np.arange(0, len(x), n))  # a trailing partial bunch's too
     full = len(x) // n
-    if full:  # each bunch's maximum, broadcast along its row
-        out[: full * n].reshape(full, n)[:] = x[: full * n].reshape(full, n).max(axis=1, keepdims=True)
-    if full * n < len(x):
-        out[full * n :] = x[full * n :].max()
+    out[: full * n].reshape(full, n)[:] = peaks[:full, None]
+    out[full * n :] = peaks[full:]
     return out
 
 

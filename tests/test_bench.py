@@ -204,8 +204,12 @@ class TestCompareMethods:
                     "-",
                 ],
             ),
+            (
+                [("three_step", {"bunch_size": 35.0, "cutoff_hz": "120", "filter_order": 2.0})],
+                ["N=35 fc=120Hz order=2"],
+            ),
         ],
-        ids=["default_dicts", "default_none", "explicit"],
+        ids=["default_dicts", "default_none", "explicit", "converted"],
     )
     def test_param_summary_labels(self, configs, labels):
         sig, truth = generate(SyntheticSpec(duration_s=0.05))

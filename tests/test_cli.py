@@ -260,14 +260,14 @@ class TestCompareCommand:
     def test_with_hilbert_adds_row(self, capsys, tmp_path):
         out = tmp_path / "report.csv"
         code, stdout, _ = run(
-            capsys, "compare", "-o", str(out), "--duration", "0.4", "--with-hilbert"
+            capsys, "compare", "-o", str(out), "--duration", "0.4", "--methods", "three_step,follower,rms,hilbert"
         )
         assert code == 0
         assert len(out.read_text().strip().split("\n")) == 5
 
     def test_report_labels(self, capsys, tmp_path):
         out = tmp_path / "report.csv"
-        code, _, _ = run(capsys, "compare", "-o", str(out), "--duration", "0.4", "--with-hilbert")
+        code, _, _ = run(capsys, "compare", "-o", str(out), "--duration", "0.4", "--methods", "three_step,follower,rms,hilbert")
         assert code == 0
         labels = [l.split(",")[1] for l in out.read_text().strip().split("\n")[1:]]
         assert labels == ["N=35 fc=120Hz order=4", "fc=150Hz order=4", "window=50", "-"]
@@ -481,6 +481,26 @@ class TestFilterDumpCommand:
         assert cli.build_parser().parse_args(["filter-dump", "--cutoff", "300"]).rate == 48000.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["envelope", "tone.wav", "--bunch", "abc"],
+        ["synth", "--duration", "1"],
+        [],
+        ["nope"],
+        ["compare", "--with-hilbert"],
+    ],
+    ids=["bad-int", "missing-required-option", "no-command", "unknown-command", "unknown-option"],
+)
+def test_malformed_command_line_is_one_line_exit_2(capsys, tone_wav, monkeypatch, argv):
+    # argparse's errors end in main's handler, like every other validation error.
+    monkeypatch.chdir(tone_wav.parent)
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("ampenv: ")
+    assert stderr.count("\n") == 1
+
+
 def test_calls_in_one_process_are_independent(capsys, tone_wav, tmp_path):
     # main parses with one parser per process; each call must still behave
     # as if it were the only one, defaults included.
@@ -490,7 +510,7 @@ def test_calls_in_one_process_are_independent(capsys, tone_wav, tmp_path):
             ["envelope", str(tone_wav), "--preset", "piano", "--bunch", "20", "--channel", "0", "-o", str(out / "piano.csv")],
             ["synth", "-o", str(out / "plain.wav"), "--duration", "0.1"],
             ["envelope", str(tone_wav), "-o", str(out / "plain.csv")],
-            ["compare", "--with-hilbert", "--rms-window", "30", "--duration", "0.2"],
+            ["compare", "--methods", "three_step,follower,rms,hilbert", "--rms-window", "30", "--duration", "0.2"],
             ["compare", "--duration", "0.2"],
             ["synth", "-o", str(out / "plain_again.wav"), "--duration", "0.1"],
         ]

@@ -51,6 +51,12 @@ class TestThreeStep:
         assert out.method == "three_step"
         assert out.params == {"bunch_size": 35, "cutoff_hz": 300.0, "filter_order": 4}
 
+    def test_params_hold_the_validated_values(self):
+        # EnvelopeParams keeps what its rules return, as FilterSpec and BunchSpec do.
+        out = three_step_envelope(sine(duration=0.1), EnvelopeParams(50.0, "150", 4.0))
+        assert out.params == {"bunch_size": 50, "cutoff_hz": 150.0, "filter_order": 4}
+        assert [type(v) for v in out.params.values()] == [int, float, int]
+
     def test_am_tone_tracking_under_5_percent(self):
         sig, truth = generate(SyntheticSpec("am_tone", 2000.0, 5.0, 0.5, 2.0, 44100.0))
         out = three_step_envelope(sig, EnvelopeParams(35, 120.0))

@@ -100,9 +100,9 @@ class TestBunchMax:
         np.testing.assert_array_equal(out.samples, naive_bunch_max(x, 3))
         assert out.samples[6] == x[6]  # single-sample trailing bunch is its own max
 
-    @pytest.mark.parametrize("length, n", [(600, 200), (1000, 200), (44100, 35), (44117, 35), (9, 1)])
+    @pytest.mark.parametrize("length, n", [(600, 200), (1000, 200), (150, 200), (44100, 35), (44117, 35), (9, 1)])
     def test_equals_the_repeat_form(self, length, n, rng):
-        # With and without a trailing partial bunch.
+        # With and without a trailing partial bunch, and shorter than one bunch.
         x = rng.standard_normal(length)
         full = length // n
         expected = np.empty(length)
