@@ -516,8 +516,13 @@ def to_mono(audio: AudioFile, mode="mean") -> Signal:
     if mode == "mean":
         if audio.n_channels == 1:  # the mean of one channel is that channel
             return audio.channels[0]
-        stacked = np.stack([ch.samples for ch in audio.channels])
-        return Signal._wrap(stacked.mean(axis=0), audio.sample_rate_hz)
+        # The bits of np.stack(...).mean(axis=0), whose reduce adds the rows
+        # in order, without its n_channels x n copy.
+        total = audio.channels[0].samples.copy()
+        for ch in audio.channels[1:]:
+            total += ch.samples
+        total /= audio.n_channels
+        return Signal._wrap(total, audio.sample_rate_hz)
     try:
         index = int(mode)
     except (TypeError, ValueError):

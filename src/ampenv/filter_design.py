@@ -88,7 +88,13 @@ def butterworth_lowpass(spec: FilterSpec) -> FilterDesign:
     k = np.arange(n)
     poles = warped * np.exp(1j * np.pi * (2.0 * k + n + 1.0) / (2.0 * n))
     zpoles = (fs2 + poles) / (fs2 - poles)
-    gain = (warped**n / np.prod(fs2 - poles)).real
+    # From order ~61 both terms of the gain overflow (inf / inf); the check
+    # after assembly turns that into an error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            gain = (warped**n / np.prod(fs2 - poles)).real
+        except OverflowError:  # warped**n on Python floats
+            gain = math.nan
 
     ordered: list[tuple[float, list[float]]] = []
     for i in range(n // 2):
@@ -116,8 +122,11 @@ def butterworth_lowpass(spec: FilterSpec) -> FilterDesign:
 
     sos = np.array([section for _, section in ordered], dtype=np.float64)
     sos[0, :3] *= gain
-    dc = np.prod((sos[:, 0] + sos[:, 1] + sos[:, 2]) / (1.0 + sos[:, 3] + sos[:, 4]))
-    sos[0, :3] /= dc
+    with np.errstate(all="ignore"):
+        dc = np.prod((sos[:, 0] + sos[:, 1] + sos[:, 2]) / (1.0 + sos[:, 3] + sos[:, 4]))
+        sos[0, :3] /= dc
+    if not np.isfinite(sos).all():
+        raise ValueError("order not realisable in float64: %r overflows the gain" % (spec,))
 
     return FilterDesign(sos, n, spec.cutoff_hz, spec.sample_rate_hz)
 

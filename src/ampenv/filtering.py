@@ -24,9 +24,9 @@ class FilterState:
     """Delay-line values of the cascade, one (s0, s1) pair per section.
 
     ``values`` is the state at the current sample. A state returned by
-    ``filter_causal`` also carries, privately, the inputs of the block the
-    stream is in and the state at that block's start, so the next call
-    continues on the same block grid, with the design that produced it.
+    ``filter_causal`` also carries, privately, the inputs of the open group
+    of blocks the stream is in and the state at that group's start, so the
+    next call continues on the same grid, with the design that produced it.
     ``FilterState(values)`` starts a new grid at that sample; it is also the
     way to hand the delay line to another design.
     """
@@ -49,9 +49,9 @@ class FilterState:
         return cls(np.zeros((design.n_sections, 2)))
 
     @classmethod
-    def _mid_block(cls, values, start: np.ndarray, inputs: np.ndarray) -> "FilterState":
+    def _mid_group(cls, values, start: np.ndarray, inputs: np.ndarray) -> "FilterState":
         # Internal constructor: the state ``values`` after ``inputs`` of a
-        # block that began in state ``start``.
+        # group of blocks that began in state ``start``.
         state = cls(values)
         object.__setattr__(state, "_start", start)
         object.__setattr__(state, "_open", inputs)
@@ -74,7 +74,10 @@ def filter_causal(
     ``s`` must have the design's sample rate. Feeding the returned state
     into the next call continues seamlessly: filtering two chunks with
     carried state reproduces, bit for bit, the output and final state of
-    filtering their concatenation with a fresh state.
+    filtering their concatenation with a fresh state. The kernel runs in
+    groups of ``kernels.GROUP`` blocks (512 samples) laid on the stream's
+    own sample grid; the open group of blocks at a chunk's end is run again
+    from its start state by the next call.
     """
     _check_rate(design, s)
     if state is None:
@@ -84,19 +87,19 @@ def filter_causal(
             "state dimension mismatch: state has %d sections, design has %d"
             % (state.values.shape[0], design.n_sections)
         )
-    # Blocks sit on the stream's sample grid: the open block's inputs are run
-    # again from its start state, and their outputs dropped.
+    # Groups of blocks sit on the stream's sample grid: the open group's
+    # inputs are run again from its start state, and their outputs dropped.
     x = np.concatenate((state._open, s.samples))
-    full = len(x) - len(x) % kernels.BLOCK  # samples in whole blocks
+    full = len(x) - len(x) % (kernels.GROUP * kernels.BLOCK)  # samples in whole groups
     y = np.empty(len(x))
     z = state._start
     for i in range(0, full, kernels.CARRY_SPAN):
         j = min(i + kernels.CARRY_SPAN, full)
         y[i:j], z = kernels.sos_filter(design.sections, x[i:j], z)
-    block_start = z
+    group_start = z
     if full < len(x):
         y[full:], z = kernels.sos_filter(design.sections, x[full:], z)
-    final = FilterState._mid_block(z, block_start, x[full:].copy())
+    final = FilterState._mid_group(z, group_start, x[full:].copy())
     return Signal._wrap(y[len(state._open) :], s.sample_rate), final
 
 

@@ -12,13 +12,18 @@ design in ``np.longdouble`` and rounded once to float64.
 The state is carried across blocks in one of two ways, chosen by the
 input's length:
 
-- The spans ``filter_causal`` feeds, whole blocks of at most ``CARRY_SPAN``
-  samples and remainders shorter than one block, step from block to block
-  (``_sos_carried``). Each block's end state is taken to the (s0, s1)
-  delay-pair basis that callers pass in ``zi``, and back, and each block's
-  output is its own small product. A block's results then depend only on
-  its inputs and its start state, never on where a call starts, so
-  ``filter_causal`` and streaming reproduce an uncut run bit for bit.
+- The spans ``filter_causal`` feeds, whole groups of ``GROUP`` blocks up
+  to ``CARRY_SPAN`` samples and remainders shorter than one group, run
+  group by group (``_sos_carried``). Inside a group the state is chained
+  from block to block in the system's basis; at each group edge it is
+  taken to the (s0, s1) delay-pair basis that callers pass in ``zi``, and
+  back. Each group's outputs come from one product of the same shape. A
+  group's results then depend only on its inputs and its start state,
+  never on where a call starts, so ``filter_causal``, which lays the
+  groups on the stream's own sample grid, and streaming reproduce an
+  uncut run bit for bit. There is no single product over all the blocks
+  of a call: some OpenBLAS kernels round a row of a GEMM differently by
+  where it sits in a taller product.
 - Other lengths sum the block-start states by doubling (a Hillis-Steele
   scan, ``_sos_scanned``) and take every block's output from one matrix
   product. That avoids a Python step per block, 3-5x faster, but a block's
@@ -26,8 +31,8 @@ input's length:
   driver behind ``filtfilt_zero_phase`` and the peak-hold envelope feeds
   each pass in pieces of 2^17 samples, the first and last with their pads,
   or a shorter input as one padded array. These take the scan unless
-  their length is one of the carried ones above: a short last piece, or a
-  padded input of whole blocks up to ``CARRY_SPAN``.
+  their length is one of the carried ones above: a last piece shorter
+  than a group, or a padded input of whole groups up to ``CARRY_SPAN``.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ import functools
 import numpy as np
 
 BLOCK = 128  # samples per block, a power of two: A^BLOCK is a repeated square
-CARRY_SPAN = 64 * BLOCK  # the longest block-aligned span filter_causal feeds
+GROUP = 4  # blocks per group of the carried path: one output GEMM of this many rows
+CARRY_SPAN = 64 * BLOCK  # the longest group-aligned span filter_causal feeds
 _SCAN_STEPS = 48  # block-transition powers kept: the scan covers 2^48 blocks
 
 
@@ -126,18 +132,20 @@ def _shared(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _block_rows(x: np.ndarray, n_states: int):
-    """One row per block of x: its input, zero-padded, then room for its start state.
+def _block_rows(x: np.ndarray, n_states: int, n_rows: int):
+    """``n_rows`` rows, one per block of x: its input, zero-padded, then room for its start state.
 
-    Also returns the number of inputs in the last block.
+    Rows past the input's last block are zeros. Also returns the number of
+    inputs in the last block.
     """
     count = len(x)
     n_blocks = -(-count // BLOCK)
     r = count - (n_blocks - 1) * BLOCK
-    rows = np.empty((n_blocks, BLOCK + n_states))
-    rows[:-1, :BLOCK] = x[: count - r].reshape(n_blocks - 1, BLOCK)
-    rows[-1, :r] = x[count - r :]
-    rows[-1, r:BLOCK] = 0.0
+    rows = np.empty((n_rows, BLOCK + n_states))
+    rows[: n_blocks - 1, :BLOCK] = x[: count - r].reshape(n_blocks - 1, BLOCK)
+    rows[n_blocks - 1, :r] = x[count - r :]
+    rows[n_blocks - 1, r:BLOCK] = 0.0
+    rows[n_blocks:] = 0.0
     return rows, r
 
 
@@ -145,8 +153,10 @@ def _output_matrix(h: np.ndarray, observe: np.ndarray) -> np.ndarray:
     """A block's output row is [input row, start state] @ this matrix.
 
     Row j of the transposed Toeplitz part is h[L - 1 - j : 2L - 1 - j]: j
-    zeros, then the impulse response. Built per call: caching it with the
-    operators raised the peak RSS of a 60 s file's envelope by about 15%.
+    zeros, then the impulse response. The carried path multiplies it by
+    ``GROUP`` rows at a time, the scan by all rows at once. Built per call:
+    caching it with the operators raised the peak RSS of a 60 s file's
+    envelope by 4.7% (127.4 to 133.4 MB).
     """
     step = h.itemsize
     toeplitz = np.ndarray((BLOCK, BLOCK), buffer=h, offset=(BLOCK - 1) * step, strides=(-step, step))
@@ -161,7 +171,7 @@ def _advance(r: int, carry: np.ndarray, powers: np.ndarray) -> np.ndarray:
 def _sos_scanned(sos: np.ndarray, x: np.ndarray, zi: np.ndarray):
     """The cascade over x, block-start states summed by a doubling scan; returns (output, final state)."""
     h, observe, carry, powers, steps, to_system, to_delay = _block_operators(_key(sos))
-    rows, r = _block_rows(x, len(to_delay))
+    rows, r = _block_rows(x, len(to_delay), -(-len(x) // BLOCK))
     starts = rows[:, BLOCK:]
     starts[0] = to_system.dot(np.asarray(zi, np.float64).reshape(-1))
     # starts[i + 1] = starts[i] @ steps[0] + added[i], summed over doubling spans.
@@ -181,25 +191,35 @@ def _sos_scanned(sos: np.ndarray, x: np.ndarray, zi: np.ndarray):
 
 
 def _sos_carried(sos: np.ndarray, x: np.ndarray, zi: np.ndarray):
-    """The cascade over x, the state carried block by block; returns (output, final state).
+    """The cascade over x in groups of ``GROUP`` blocks; returns (output, final state).
 
-    A block's output and end state depend only on its inputs and its
-    start state, so a run cut on the block grid reproduces the uncut run
-    bit for bit.
+    Inside a group each block's start state, in the system's basis, is the
+    one before @ the block advance. At a group's edge the state goes to the
+    (s0, s1) delay-pair basis and back, as it does between calls. Each
+    group's outputs are one (GROUP, L + S) @ (L + S, L) product, a short
+    last group padded with zero rows, so every group is the same GEMM and a
+    block always sits at the row its place in its group gives. A group's
+    outputs and end state then depend only on its inputs and its start
+    state, so a run cut on the group grid reproduces the uncut run bit for
+    bit. One GEMM over all blocks would not: under OpenBLAS's Haswell and
+    Nehalem kernels how a row rounds depends on the product's height and
+    on the row's place in it.
     """
     h, observe, carry, powers, _, to_system, to_delay = _block_operators(_key(sos))
-    rows, r = _block_rows(x, len(to_delay))
+    n_blocks = -(-len(x) // BLOCK)
+    rows, r = _block_rows(x, len(to_delay), -(-n_blocks // GROUP) * GROUP)
     advance = _advance(BLOCK, carry, powers)
     z = np.asarray(zi, np.float64).reshape(-1)
-    for row in rows[:-1]:  # ndarray.dot: half the call cost of @ at this size
-        row[BLOCK:] = to_system.dot(z)
-        z = to_delay.dot(row.dot(advance))
-    rows[-1, BLOCK:] = to_system.dot(z)
-    end = to_delay.dot(rows[-1].dot(_advance(r, carry, powers)))
-    # One (1, L + S) @ (L + S, L) product per block, never one GEMM over
-    # all blocks: a GEMM rounds a row differently by where it sits in it.
-    y = np.matmul(rows[:, None, :], _output_matrix(h, observe))
-    return y.reshape(-1)[: len(x)], end.reshape(-1, 2)
+    for first in range(0, n_blocks, GROUP):
+        last = min(first + GROUP, n_blocks) - 1
+        np.dot(to_system, z, out=rows[first, BLOCK:])
+        for k in range(first, last):  # np.dot: half the call cost of @ at this size
+            np.dot(rows[k], advance, out=rows[k + 1, BLOCK:])
+        if last == n_blocks - 1 and r < BLOCK:  # the end state after the last block's r inputs
+            advance = _advance(r, carry, powers)
+        z = to_delay.dot(rows[last].dot(advance))
+    y = np.matmul(rows.reshape(-1, GROUP, rows.shape[1]), _output_matrix(h, observe))
+    return y.reshape(-1)[: len(x)], z.reshape(-1, 2)
 
 
 def _key(sos: np.ndarray) -> bytes:
@@ -211,12 +231,12 @@ def sos_filter(sos: np.ndarray, x: np.ndarray, zi: np.ndarray):
 
     ``sos`` rows are (b0, b1, b2, a1, a2) with a0 = 1; ``zi`` has one
     (s0, s1) delay pair per section (transposed direct-form II). Inputs
-    shorter than a block, or of whole blocks up to ``CARRY_SPAN`` samples,
-    carry the state block by block; other lengths run the scan. x may be a
-    strided view. Inputs are not mutated.
+    shorter than a group of ``GROUP`` blocks, or of whole groups up to
+    ``CARRY_SPAN`` samples, carry the state group by group; other lengths
+    run the scan. x may be a strided view. Inputs are not mutated.
     """
     if not len(x):
         return np.empty(0), np.array(zi, dtype=np.float64)
-    if len(x) < BLOCK or (len(x) <= CARRY_SPAN and not len(x) % BLOCK):
+    if len(x) < GROUP * BLOCK or (len(x) <= CARRY_SPAN and not len(x) % (GROUP * BLOCK)):
         return _sos_carried(sos, x, zi)
     return _sos_scanned(sos, x, zi)

@@ -591,6 +591,23 @@ class TestToMono:
         assert np.shares_memory(mono.samples, audio.channels[0].samples)
         np.testing.assert_array_equal(mono.samples, [100 / 32768, -100 / 32768, 3000 / 32768])
 
+    @pytest.mark.parametrize("channels", [2, 3, 5])
+    def test_mean_has_the_bits_of_the_stacked_mean(self, channels, rng):
+        audio = AudioFile(
+            tuple(Signal(rng.standard_normal(100_003) * 10.0**k, 44100.0) for k in range(channels)),
+            44100.0,
+            "float32",
+        )
+        stacked = np.stack([ch.samples for ch in audio.channels]).mean(axis=0)
+        assert to_mono(audio, "mean").samples.tobytes() == stacked.tobytes()
+
+    def test_mean_holds_one_output_buffer(self):
+        # The output and the boolean temporary of Signal's finiteness check;
+        # a stacked copy of the channels would add 3 * n float64s.
+        n = 1 << 18
+        audio = AudioFile(tuple(Signal(np.full(n, 0.1 * k), 44100.0) for k in range(3)), 44100.0, "float32")
+        assert _traced_peak(to_mono, audio, "mean") <= 9 * n + (1 << 16)
+
     def test_opposite_channels_cancel(self, tmp_path):
         audio = self.read_stereo(tmp_path, [5000, -700], [-5000, 700])
         np.testing.assert_array_equal(to_mono(audio, "mean").samples, [0.0, 0.0])

@@ -182,6 +182,15 @@ class TestEnvelopeCommand:
         assert stderr.startswith("ampenv: cutoff not realisable in float64") and stderr.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_order_whose_gain_overflows_exits_2_with_one_line(self, capsys, tone_wav, tmp_path):
+        code, _, stderr = run(
+            capsys, "envelope", str(tone_wav), "-o", str(tmp_path / "x.csv"), "--order", "100"
+        )
+        assert code == 2
+        assert stderr.startswith("ampenv: order not realisable in float64") and stderr.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
     def test_rate_a_wav_header_cannot_hold_writes_nothing(self, capsys, tmp_path):
         # read_wav accepts any nonzero 32-bit rate; a pcm16 header holds at most 0x7FFFFFFF Hz
         path = tmp_path / "fast.wav"
@@ -469,6 +478,13 @@ class TestFilterDumpCommand:
         code, _, stderr = run(capsys, "filter-dump", "--cutoff", "30000", "--rate", "44100")
         assert code == 2
         assert "cutoff above Nyquist" in stderr
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cutoff", ["150", "1000"])
+    def test_order_whose_gain_overflows_exits_2_with_one_line(self, capsys, cutoff):
+        code, stdout, stderr = run(capsys, "filter-dump", "--cutoff", cutoff, "--order", "100")
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("ampenv: order not realisable in float64") and stderr.count("\n") == 1
 
     @pytest.mark.parametrize("points", ["-3", "0"])
     def test_points_not_positive_exits_2(self, capsys, points):

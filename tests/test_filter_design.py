@@ -156,6 +156,18 @@ class TestValidation:
             frequency_response(design, [-1.0])
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "cutoff, order",
+        [(20.0, 63), (150.0, 63), (1000.0, 64), (8000.0, 61), (150.0, 100), (1000.0, 100)],
+    )
+    def test_orders_whose_gain_overflows_are_rejected(self, cutoff, order):
+        # warped^n / prod(2 fs - p) is inf / inf (a NaN design) or, once
+        # warped^n overflows as a Python float, an OverflowError.
+        with pytest.raises(ValueError, match="order not realisable in float64") as info:
+            butterworth_lowpass(FilterSpec(cutoff, 44100.0, order))
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("rate", [8000.0, 44100.0])
     @pytest.mark.parametrize("order", [2, 4, 8])
     def test_cutoffs_float64_cannot_realise_are_rejected(self, rate, order):

@@ -103,7 +103,7 @@ class TestFilterCausal:
     @given(
         order=st.integers(1, 8),
         cutoff_frac=st.floats(0.0, 1.0),
-        n=st.integers(1, 3000),
+        n=st.integers(1, 3 * kernels.CARRY_SPAN),
         cut_fracs=st.lists(st.floats(0.0, 1.0), max_size=6),
         seed=st.integers(0, 2**32 - 1),
     )

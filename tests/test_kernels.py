@@ -4,7 +4,7 @@ from oracles import has_extended_precision, recurrence
 
 from ampenv import FilterSpec, butterworth_lowpass, kernels
 from ampenv.filtering import _step_state
-from ampenv.kernels import BLOCK, CARRY_SPAN
+from ampenv.kernels import BLOCK, CARRY_SPAN, GROUP
 
 
 def sections(cutoff_hz):
@@ -49,12 +49,12 @@ def test_block_lengths_agree_with_the_recurrence(n, rng):
         assert np.max(np.abs(zf - expected_zf)) <= 1e-12 * np.max(np.abs(expected_zf))
 
 
-def test_carried_runs_cut_on_the_block_grid_reproduce_the_uncut_run(rng):
+def test_carried_runs_cut_on_the_group_grid_reproduce_the_uncut_run(rng):
     sos = sections(20.0)
     x = rng.standard_normal(CARRY_SPAN)
     zi = rng.standard_normal((2, 2))
     whole, whole_zf = kernels.sos_filter(sos, x, zi)
-    for cut in (BLOCK, 7 * BLOCK, CARRY_SPAN - BLOCK):
+    for cut in (GROUP * BLOCK, 7 * GROUP * BLOCK, CARRY_SPAN - GROUP * BLOCK):
         head, zf = kernels.sos_filter(sos, x[:cut], zi)
         tail, zf = kernels.sos_filter(sos, x[cut:], zf)
         np.testing.assert_array_equal(np.concatenate((head, tail)), whole)
@@ -63,18 +63,36 @@ def test_carried_runs_cut_on_the_block_grid_reproduce_the_uncut_run(rng):
 
 @pytest.mark.parametrize(
     "n, carried",
-    [(1, True), (BLOCK - 1, True), (BLOCK, True), (5 * BLOCK, True), (CARRY_SPAN, True),
-     (BLOCK + 1, False), (4464, False), (CARRY_SPAN + BLOCK, False)],
+    [(1, True), (BLOCK - 1, True), (BLOCK, True), (BLOCK + 1, True), (GROUP * BLOCK - 1, True),
+     (GROUP * BLOCK, True), (5 * GROUP * BLOCK, True), (CARRY_SPAN, True),
+     (GROUP * BLOCK + 1, False), (5 * BLOCK, False), (4464, False),
+     (CARRY_SPAN + BLOCK, False), (CARRY_SPAN + GROUP * BLOCK, False)],
 )
 def test_block_aligned_spans_and_short_remainders_carry(n, carried, rng):
-    # filter_causal feeds whole blocks up to CARRY_SPAN and remainders
-    # shorter than a block; every other length takes the scan.
+    # filter_causal feeds whole groups of blocks up to CARRY_SPAN and
+    # remainders shorter than a group; every other length takes the scan.
     sos = sections(150.0)
     x = rng.standard_normal(n)
     zi = rng.standard_normal((2, 2))
     expected = (kernels._sos_carried if carried else kernels._sos_scanned)(sos, x, zi)
     for got, want in zip(kernels.sos_filter(sos, x, zi), expected):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("cutoff_hz", [5.0, 150.0])
+def test_a_group_gives_the_same_bits_alone_and_among_others(cutoff_hz, rng):
+    # The 3rd of 16 groups, and the start of it, filtered from the same
+    # start state on their own: a short group is padded to the same GEMM, so
+    # every block keeps its row, and OpenBLAS rounds a row by its position.
+    sos = sections(cutoff_hz)
+    span = GROUP * BLOCK
+    x = rng.standard_normal(16 * span)
+    zi = rng.standard_normal((2, 2))
+    whole, _ = kernels.sos_filter(sos, x, zi)
+    _, start = kernels.sos_filter(sos, x[: 2 * span], zi)
+    for n in (span, 2 * BLOCK + 37, 50):
+        alone, _ = kernels.sos_filter(sos, x[2 * span : 2 * span + n], start)
+        np.testing.assert_array_equal(alone, whole[2 * span : 2 * span + n])
 
 
 def test_zero_input_and_state_give_exact_zero():
