@@ -224,20 +224,45 @@ _CSV_BLOCK = 4096  # write_csv rows per encoded block; bounds the encoder's buff
 
 # -- CSV text: printf's %.9g, vectorised --------------------------------------
 #
-# In fixed notation, that is for printf's decimal exponent X in [-4, 8], a
-# value's text follows from its 9-digit mantissa m = rint(|v| * 10^(8 - X)).
-# That power of ten is exact in float64, so the product is rounded once.
-# nd = m * 10^(4 + min(X, 0)) then holds the text's 13 digits: the dot goes
-# after max(X, 0) + 1 of them, and for X < 0 they begin with the "0" before
-# the dot and the zeros after it. Their ASCII comes from a table of 3-digit
-# groups, small enough to stay in cache. Such a field (sign, digits, dot and
-# separator) is at most 16 bytes, so it is built in two little-endian uint64
-# words, with masks taken from tables indexed by the field's shape. Each
-# field is then shifted to its byte offset in the output's 8-byte words and
-# summed in with np.add.at. Fields cover disjoint bytes, so the sum is their
-# concatenation.
+# A value's text follows from printf's decimal exponent e and its 9-digit
+# mantissa m = rint(|v| * 10^(8 - e)), which lies in [1e8, 1e9) and so fits
+# an int32. For e in [-14, 8] the power of ten is exact in float64 (10^22 is
+# 2^22 * 5^22 with 5^22 < 2^53), so the product is rounded once. The tables
+# are indexed by x = e + 16, clipped to [1, 24], so that x = 1 holds 0 and
+# every |v| < 1e-14; the latter, like every value printf writes, then get
+# x = 0, a field of no bytes.
+#
+# m is split once into three 3-digit groups, whose ASCII digits come from
+# tables small enough to stay in cache: m's nine digits lie in bytes 0-8 of
+# two little-endian uint64 words (lo, hi). A field (digits, dot, exponent
+# suffix and separator; the sign is written apart) is at most 15 bytes. It is
+# built from two copies of those words: the digits before the dot where they
+# lie, and the digits after it shifted A bytes up. A = 1 leaves a byte for
+# the dot. In fixed notation below 1 the text is "0." and -e - 1 zeros, then
+# all of m's digits, so the leading zeros are a shift of A = 1 - e bytes; for
+# e = 8 the ninth digit, in hi, is shifted by A = 0. Exponent notation (e in
+# [-14, -5]) is "d.dddddddde-XX": one digit before the dot, a four-byte
+# suffix after the last. The masks that keep either copy's digits, the
+# field's constant bytes ("0.000", ".", "e-05", the separator), A and the
+# field's length come from tables indexed by its shape: x, the count of m's
+# digits up to its last nonzero one, and whether the column is the row's
+# last. Each field is then shifted to its byte offset in the output's 8-byte
+# words and summed in with np.add.at. Fields cover disjoint bytes, so the sum
+# is their concatenation.
+#
+# rint rounds the float product where printf rounds the exact one. They can
+# part only where the float product is exactly a half-integer, and there
+# ``_mantissa`` keeps the ties it can prove exact and hands the rest to
+# printf: for e < -4 the power is exact but its product with a 24-bit sample
+# is not, so only 2^-14 stays.
 
-_POW10 = 10.0 ** np.arange(13)  # every power used is exact in float64
+_X_BIAS, _X_MAX = 16, 24  # x = e + 16 for printf's exponent e, up to e = 8
+# 10^(8 - e) by x, each exact in float64; 0 below e = -14, whose mantissa of
+# 0 hands the value to printf.
+_POW10 = np.array([0.0, 0.0] + [float(10 ** (_X_BIAS + 8 - x)) for x in range(2, _X_MAX + 1)])
+_X_KEY = 10  # stride of x in a field's shape key: the count of m's significant digits is 0-9
+_LAST_KEY = _X_KEY * (_X_MAX + 1)
+_FIELD_MAX = 17  # bytes of the longest field, as in "-1.23456789e-200,"
 
 
 class _CsvTables(NamedTuple):
@@ -248,98 +273,145 @@ class _CsvTables(NamedTuple):
     keep_before: np.ndarray
     keep_after: np.ndarray
     fixed: np.ndarray
+    shift: np.ndarray
     field_len: np.ndarray
 
 
-_POINT_KEY, _LAST_KEY = 14, 9 * 14  # strides of a field's shape key
-_FIELD_MAX = 17  # bytes of the longest field, as in "-1.23456789e-200,"
+def _field_text(x: int, significant: int) -> list:
+    """A field's text without sign and separator: per byte, a digit's index in m or a constant character."""
+    e = x - _X_BIAS
+    if x == 0:  # printf writes the field
+        return []
+    if x == 1:  # 0; every other |v| < 1e-14 has x = 0
+        return ["0"]
+    if -4 <= e < 0:
+        return list("0." + "0" * (-e - 1)) + list(range(significant))
+    point, suffix = (1, list("e-%02d" % -e)) if e < 0 else (e + 1, [])
+    digits = list(range(max(significant, point)))
+    return digits[:point] + (["."] + digits[point:] if digits[point:] else []) + suffix
 
 
 @functools.cache
 def _csv_tables() -> _CsvTables:
     """The encoder's tables, built on first use.
 
-    Per 3-digit group g (``ascii3``, ``significant3``): its ASCII digits,
-    zero-padded, most significant in the low byte; and 3 minus its trailing
-    zeros, or -32 for g = 0 so that a zero group never decides a maximum.
+    Per 3-digit group g, one row for g as each of m's three groups:
+    ``ascii3``, its ASCII digits, zero-padded, where they lie in m's text
+    (bytes 0-2, 3-5 and 6-7 of lo; a fourth row, byte 8 in hi); and
+    ``significant3``, m's digits up to g's last nonzero one, which is 0, 3
+    or 6 plus 3 less g's trailing zeros. For g = 0 it is 0 in the first
+    group, as in m = 0, and -32 in the others, so that a zero group never
+    decides the maximum of the three.
 
-    Per field shape, indexed by ``_LAST_KEY * last + _POINT_KEY * (before -
-    1) + significant``: ``before`` (1-9) digits before the dot,
-    ``significant`` (0-13) of nd's digits up to its last nonzero one, and
-    ``last`` 1 in the last column. The (lo, hi) word masks that keep the
-    digits before the dot (``keep_before``) and, from the digits shifted one
-    byte up, those after it (``keep_after``); the dot and separator
-    (``fixed``); and the field's length without a sign (``field_len``).
+    Per field shape, indexed by ``_LAST_KEY * last + _X_KEY * x +
+    significant``: ``x`` (0-24), ``significant`` (0-9) of m's digits up to
+    its last nonzero one, and ``last`` 1 in the last column. The lo mask that
+    keeps the digits before the dot (``keep_before``); the (lo, hi) masks
+    that keep the digits after it from the words shifted A bytes up
+    (``keep_after``); the constant bytes and the separator (``fixed``); the
+    shift 8A in bits (``shift``); and the field's length without a sign
+    (``field_len``).
 
-    The digit tables have 1,000 entries and the shape tables 252, so
-    building them on first use takes a millisecond or two.
+    The digit tables have 1,000 entries and the shape tables 500, so
+    building them on first use takes a few milliseconds.
     """
     groups = ["%03d" % g for g in range(1000)]
     ascii3 = np.frombuffer("".join(group + "\0" * 5 for group in groups).encode("ascii"), "<u8")
-    significant3 = np.array([len(group.rstrip("0")) or -32 for group in groups], np.intp)
+    ascii3 = np.stack([ascii3, ascii3 << np.uint64(24), ascii3 << np.uint64(48), ascii3 >> np.uint64(16)])
+    trimmed = np.array([len(group.rstrip("0")) for group in groups], np.int16)
+    significant3 = np.stack([trimmed, 3 + trimmed, 6 + trimmed])
+    significant3[1:, 0] = -32
 
-    shapes = [(last, before, significant) for last in (0, 1) for before in range(1, 10) for significant in range(14)]
-    keep_before, keep_after, fixed, field_len = [], [], [], []
-    for last, before, significant in shapes:
-        after = max(significant - before, 0)
-        text = before + (after + 1 if after else 0)  # bytes before the separator
-        keep_before.append(b"\xff" * before + bytes(16 - before))
-        keep_after.append(bytes(before + 1) + b"\xff" * after + bytes(15 - before - after))
-        tail = b"." + bytes(after) if after else b""
-        fixed.append(bytes(before) + tail + (b"\n" if last else b",") + bytes(15 - text))
-        field_len.append(text + 1)
+    keep_before, keep_after, fixed, shift, field_len = [], [], [], [], []
+    for last in (0, 1):
+        for x in range(_X_MAX + 1):
+            for significant in range(_X_KEY):
+                text = _field_text(x, significant)
+                before, after, const = bytearray(8), bytearray(16), bytearray(16)
+                shifts = set()  # A, the same for every digit after the dot
+                for pos, item in enumerate(text):
+                    if isinstance(item, str):
+                        const[pos] = ord(item)
+                    elif pos == item < 8:
+                        before[pos] = 0xFF
+                    else:
+                        after[pos] = 0xFF
+                        shifts.add(pos - item)
+                if text:
+                    const[len(text)] = ord("\n" if last else ",")
+                (a,) = shifts or {1}
+                keep_before.append(bytes(before))
+                keep_after.append(bytes(after))
+                fixed.append(bytes(const))
+                shift.append(8 * a)
+                field_len.append(len(text) + 1 if text else 0)
 
     def words(rows):  # 16-byte rows -> their (lo, hi) little-endian words
         pairs = np.frombuffer(b"".join(rows), "<u8")
-        return pairs[0::2].copy(), pairs[1::2].copy()
+        return np.stack([pairs[0::2], pairs[1::2]])
 
     return _CsvTables(
-        ascii3, significant3, words(keep_before), words(keep_after), words(fixed), np.array(field_len, np.intp)
+        ascii3,
+        significant3,
+        np.frombuffer(b"".join(keep_before), "<u8").copy(),
+        words(keep_after),
+        words(fixed),
+        np.array(shift, np.uint64),
+        np.array(field_len, np.intp),
     )
 
 
-def _mantissa(a: np.ndarray, e: np.ndarray, m: np.ndarray, p: np.ndarray, index: np.ndarray) -> None:
-    """m = printf's rounding of a * 10^(8 - e) to an integer, or 0 to leave a to printf.
+def _mantissa(a: np.ndarray, x: np.ndarray, m: np.ndarray, p: np.ndarray) -> None:
+    """m = printf's rounding of a * 10^(8 - e) to an integer, e = x - 16, or 0 to leave a to printf.
 
     printf rounds the exact product, half to even, as rint does the float
-    product. The two can differ only where the float product is exactly a
-    half-integer. 10^(8 - e) is 5^k * 2^k with 5^k < 2^28, so for an a of at
-    most 24 significant bits (every pcm16, pcm24 and float32 sample) the
-    product is exact and rint settles its tie as printf does. Any other a
-    whose product is a tie gets m = 0, which hands it to printf. ``p`` and
-    ``index`` are work space of a's size.
+    product, which is the exact one rounded once. The two can differ only
+    where the float product is exactly a half-integer: any other float lies
+    at least an ulp from every half-integer, further than the rounding moved
+    it. For e >= -4, 10^(8 - e) is 5^k * 2^k with 5^k < 2^28, so for an a of
+    at most 24 significant bits (every pcm16, pcm24 and float32 sample) the
+    product is exact and rint settles its tie as printf does. For e < -4
+    (k >= 13) that product need not be exact, and an exact tie below 1e9 is
+    an odd multiple of 5^k / 2: only 5^13 / 2 = 2^-14 * 10^13. So a tie
+    keeps its m for a 24-bit a with e >= -4, and for a = 2^-14 (pcm16's 2,
+    pcm24's 1024); every other tie, a product within half an ulp of a
+    half-integer, gets m = 0 and goes to printf. ``p`` is work space of a's
+    size.
     """
-    np.subtract(8, e, out=index)
-    _POW10.take(index, out=p, mode="clip")
+    _POW10.take(x, out=p, mode="clip")
     p *= a
     np.rint(p, out=m)
     p -= m
     ties = np.flatnonzero(np.abs(p, out=p) == 0.5)
     if ties.size:
-        x = a[ties]  # in [5e-13, 2^53): float32 holds x just when x has at most 24 bits
-        m[ties[x.astype(np.float32) != x]] = 0
+        v = a[ties]  # in [1e-14, 2^53): float32 holds v just when v has at most 24 bits
+        exact = ((v.astype(np.float32) == v) & (x[ties] >= _X_BIAS - 4)) | (v == 2.0**-14)
+        m[ties[~exact]] = 0
 
 
 class _CsvEncoder:
     """printf's ``%.9g`` text for blocks of rows of float64 values.
 
-    Fixed notation is built with NumPy in plain work arrays made once per
-    encoder, each sized for a whole block, so that encoding a block
-    allocates little. Values that printf writes in exponent notation
-    (|v| < 1e-4 or >= 1e9 after rounding to 9 digits), ties that ``_mantissa``
-    cannot settle, and any non-finite values are formatted by printf itself.
+    Fixed and exponent notation are built with NumPy in plain work arrays
+    made once per encoder, each sized for a whole block, so that encoding a
+    block allocates little. The integer work arrays are int32 or int16 where
+    their values fit; the lookup indices are intp, which ``take`` uses as
+    they are. Values of |v| < 1e-14 or >= 1e9 after rounding to 9 digits,
+    the rare ones just below a power of ten whose log10 rounds up, ties that
+    ``_mantissa`` cannot settle, and any non-finite values are formatted by
+    printf itself.
     """
 
     def __init__(self, rows: int, columns: int):
         size = rows * columns
         self._tables = _csv_tables()
+        self._columns = columns
         self.rows = np.empty((rows, columns))
-        self._floats = np.empty((3, size))
-        self._ints = np.empty((9, size), np.intp)
-        self._words = np.empty((6, size), np.uint64)
-        self._last = np.zeros(size, np.intp)  # each column's shape-key offset
-        self._last[columns - 1 :: columns] = _LAST_KEY
-        self._flags = np.empty((2, size), np.bool_)
+        self._words = np.empty((5, size), np.uint64)  # its first three rows hold m's float work arrays first
+        self._index = np.empty((4, size), np.intp)
+        self._int32 = np.empty((4, size), np.int32)
+        self._int16 = np.empty((3, size), np.int16)
+        self._neg = np.empty(size, np.bool_)
         # The text takes at most _FIELD_MAX bytes a field, and a field is
         # summed into the 3 words from its start: 3 spare words.
         self._out = np.empty(_FIELD_MAX * size // 8 + 3, np.uint64)
@@ -348,125 +420,128 @@ class _CsvEncoder:
         """The text of whole rows, given flattened row by row; a uint8 view of a buffer."""
         tables = self._tables
         n = values.size
-        a, f, m = self._floats[:, :n]
-        e, k, q1, q2, g0, g1, g2, g3, g4 = self._ints[:, :n]
-        lo, hi, u_lo, u_hi, t, t2 = self._words[:, :n]
-        flag, neg = self._flags[:, :n]
+        a, f, m = self._words[:3, :n].view(np.float64)  # free once m is an int32
+        lo, hi, t, t2, w = self._words[:, :n]
+        groups, k = self._index[:3, :n], self._index[3, :n]
+        g0, g1, g2, q = self._int32[:, :n]
+        x, s, s2 = self._int16[:, :n]
+        neg = self._neg[:n]
 
-        # The exponent e = floor(log10 |v|), clipped to [-4, 8]. printf
-        # formats the values whose mantissa m then falls outside [1e8, 1e9):
-        # exponent notation, and the rare ones just below a power of ten,
-        # where log10 can round up or m rounds up into the next decade.
+        # x = floor(log10 |v|) + 16, clipped to [1, 24], and the mantissa m.
+        # printf formats the values whose m then falls outside [1e8, 1e9),
+        # other than 0: |v| < 1e-14 or >= 1e9, and the rare ones just below
+        # a power of ten, where log10 can round up or m rounds up into the
+        # next decade. They get x = 0 and m = 0.
         np.abs(values, out=a)
-        with np.errstate(divide="ignore", invalid="ignore"):  # log10(0) = -inf to int; inf - inf
+        with np.errstate(divide="ignore", invalid="ignore"):  # log10(0) = -inf, and it or a NaN to int
             np.log10(a, out=f)
-            np.floor(f, out=f)
-            np.copyto(e, f, casting="unsafe")
-            np.minimum(e, 8, out=e)
-            np.maximum(e, -4, out=e)
-            _mantissa(a, e, m, f, k)
-        np.less(m, 1e9, out=flag)
-        flag &= (m >= 1e8) | (a == 0)
-        printf = np.flatnonzero(~flag)  # exponent notation, or not finite
-        m[printf] = 0
+            f += _X_BIAS  # below 1e-16, where the cast does not floor, x is clipped to 1
+            np.copyto(x, f, casting="unsafe")  # in int16 range for every finite |v|
+            np.clip(x, 1, _X_MAX, out=x)
+            _mantissa(a, x, m, f)
+            np.fmin(m, 1e9, out=m)  # a NaN becomes 1e9, which fits an int32 too
+            np.copyto(g2, m, casting="unsafe")
+        np.subtract(g2, 100_000_000, out=q)
+        printf = np.flatnonzero(q.view(np.uint32) >= 900_000_000)
+        if printf.size:
+            zero = a[printf] == 0
+            x[printf[zero]] = 1
+            printf = printf[~zero]
+            g2[printf] = 0
+            x[printf] = 0
 
-        # nd = m * 10^(4 + min(e, 0)) as groups g4 (one digit) g3 g2 g1 g0
-        # (three each); its 13 ASCII digits from byte 0 of (lo, hi), and one
-        # byte up in (t, t2).
-        np.minimum(e, 0, out=k)
-        k += 4
-        _POW10.take(k, out=f, mode="clip")
-        f *= m
-        np.copyto(k, f, casting="unsafe")
-        for group, rest, high in ((g0, k, q1), (g1, q1, k), (g2, k, q1), (g3, q1, g4)):
-            np.floor_divide(rest, 1000, out=high)
-            np.multiply(high, 1000, out=group)
-            np.subtract(rest, group, out=group)
-        np.add(g4, ord("0"), out=lo, casting="unsafe")
-        for group, shift in ((g3, 8), (g2, 32), (g1, 56)):
-            tables.ascii3.take(group, out=t, mode="clip")
-            t <<= np.uint64(shift)
-            lo |= t
-        tables.ascii3.take(g1, out=t, mode="clip")
-        np.right_shift(t, np.uint64(8), out=hi)
-        tables.ascii3.take(g0, out=t, mode="clip")
-        t <<= np.uint64(16)
-        hi |= t
-        np.left_shift(lo, np.uint64(8), out=t)
-        np.left_shift(hi, np.uint64(8), out=t2)
-        np.right_shift(lo, np.uint64(56), out=u_lo)
-        t2 |= u_lo
+        # m's groups g0 g1 g2 (three digits each), split in int32, then as
+        # intp lookup indices; m's nine ASCII digits from byte 0 of (lo, hi).
+        np.floor_divide(g2, 1000, out=g1)
+        np.multiply(g1, 1000, out=q)
+        g2 -= q
+        np.floor_divide(g1, 1000, out=g0)
+        np.multiply(g0, 1000, out=q)
+        g1 -= q
+        np.copyto(groups, self._int32[:3, :n])
+        g0, g1, g2 = groups
+        tables.ascii3[0].take(g0, out=lo, mode="clip")
+        tables.ascii3[1].take(g1, out=w, mode="clip")
+        lo |= w
+        tables.ascii3[2].take(g2, out=w, mode="clip")
+        lo |= w
+        tables.ascii3[3].take(g2, out=hi, mode="clip")
 
-        # The field's shape k, from nd's digits up to the last nonzero one
-        # and the digits before the dot; then its bytes (u_lo, u_hi).
-        np.minimum(g4, 1, out=q1)
-        for group, offset in ((g3, 1), (g2, 4), (g1, 7), (g0, 10)):
-            tables.significant3.take(group, out=q2, mode="clip")
-            q2 += offset
-            np.maximum(q1, q2, out=q1)
-        np.maximum(e, 0, out=k)
-        k *= _POINT_KEY
-        k += q1
-        k += self._last[:n]
-        tables.keep_before[0].take(k, out=u_lo, mode="clip")
-        u_lo &= lo
-        tables.keep_before[1].take(k, out=u_hi, mode="clip")
-        u_hi &= hi
-        tables.keep_after[0].take(k, out=lo, mode="clip")
-        lo &= t
-        u_lo |= lo
-        tables.keep_after[1].take(k, out=hi, mode="clip")
-        hi &= t2
-        u_hi |= hi
-        tables.fixed[0].take(k, out=t, mode="clip")
-        u_lo |= t
-        tables.fixed[1].take(k, out=t, mode="clip")
-        u_hi |= t
-        length = q2
+        # The field's shape k, from x and m's digits up to its last nonzero
+        # one; then its bytes (lo, t2).
+        tables.significant3[0].take(g0, out=s, mode="clip")
+        tables.significant3[1].take(g1, out=s2, mode="clip")
+        np.maximum(s, s2, out=s)
+        tables.significant3[2].take(g2, out=s2, mode="clip")
+        np.maximum(s, s2, out=s)
+        x *= _X_KEY
+        x += s
+        x.reshape(-1, self._columns)[:, -1] += _LAST_KEY
+        np.copyto(k, x)
+        tables.shift.take(k, out=w, mode="clip")
+        np.left_shift(lo, w, out=t)
+        np.left_shift(hi, w, out=t2)
+        np.subtract(np.uint64(40), w, out=w)
+        np.right_shift(lo, np.uint64(24), out=hi)  # lo >> (64 - 8A) as (lo >> 24) >> (40 - 8A): A may be 0
+        hi >>= w
+        t2 |= hi  # (t, t2) is (lo, hi) shifted A bytes up
+        tables.keep_before.take(k, out=w, mode="clip")
+        lo &= w
+        tables.keep_after[0].take(k, out=w, mode="clip")
+        t &= w
+        lo |= t
+        tables.fixed[0].take(k, out=w, mode="clip")
+        lo |= w
+        tables.keep_after[1].take(k, out=w, mode="clip")
+        t2 &= w
+        tables.fixed[1].take(k, out=w, mode="clip")
+        t2 |= w
+        length = g0  # without the sign
         tables.field_len.take(k, out=length, mode="clip")
         np.signbit(values, out=neg)
         if printf.size:
-            u_lo[printf] = 0
-            u_hi[printf] = 0
             neg[printf] = False  # printf writes the sign
             text = np.frombuffer((("%.9g," * printf.size) % tuple(values[printf].tolist())).encode("ascii"), np.uint8)
             text_end = np.flatnonzero(text == ord(",")) + 1
             text_len = text_end.copy()
             text_len[1:] -= text_end[:-1]
             length[printf] = text_len
-        length += neg
 
         # A field whose digits start at byte b of the output is shifted up
-        # by b % 8 bytes into words b // 8 to b // 8 + 2 (u_lo, u_hi, hi).
-        end = g0
-        np.cumsum(length, out=end)
-        start = g1
+        # by b % 8 bytes into words b // 8 to b // 8 + 2 (lo, t2, hi).
+        end = g1
+        np.add(length, neg, out=end)
+        np.cumsum(end, out=end)
+        start = k  # of the digits, after any sign
         np.subtract(end, length, out=start)
-        np.add(start, neg, out=k)
-        word = g2
-        np.right_shift(k, 3, out=word)
-        shift = t2
-        np.bitwise_and(k, 7, out=shift, casting="unsafe")
-        shift <<= np.uint64(3)
-        np.subtract(np.uint64(63), shift, out=lo)
-        np.right_shift(u_lo, np.uint64(1), out=t)  # x >> (64 - s) as (x >> 1) >> (63 - s): s may be 0
-        t >>= lo
-        np.right_shift(u_hi, np.uint64(1), out=hi)
-        hi >>= lo
-        u_lo <<= shift
-        u_hi <<= shift
-        u_hi |= t
+        shift = g2
+        np.bitwise_and(start, 7, out=shift)
+        shift <<= 3
+        shift = shift.view(np.uint64)
+        np.subtract(np.uint64(63), shift, out=hi)
+        np.right_shift(lo, hi, out=t)  # x >> (64 - s) as (x >> (63 - s)) >> 1: s may be 0
+        t >>= np.uint64(1)
+        lo <<= shift
+        np.right_shift(t2, hi, out=hi)
+        hi >>= np.uint64(1)
+        t2 <<= shift
+        t2 |= t
         total = int(end[-1]) if n else 0
         out = self._out[: total // 8 + 3]
         out.fill(0)
-        for part in (u_lo, u_hi, hi):
+        word = g0
+        np.right_shift(start, 3, out=word)
+        for part in (lo, t2, hi):
             np.add.at(out, word, part)
             word += 1
         text_out = out.view(np.uint8)
         if printf.size:
             text_out[np.repeat(start[printf] - (text_end - text_len), text_len) + np.arange(text.size)] = text
-            text_out[end[printf[self._last[printf] != 0]] - 1] = ord("\n")
-        text_out[start[neg]] = ord("-")
+            last = printf[printf % self._columns == self._columns - 1]
+            text_out[end[last] - 1] = ord("\n")
+        signs = start.take(np.flatnonzero(neg))
+        signs -= 1
+        text_out[signs] = ord("-")
         return text_out[:total]
 
 
@@ -474,13 +549,14 @@ def write_csv(path, signals) -> None:
     """Write time-aligned signals as CSV.
 
     ``signals`` maps column names to Signals (dict or (name, Signal) pairs);
-    all must share length and sample rate. The header is
+    all must share length and sample rate, and no name may hold a comma, a
+    newline or a carriage return. The header is
     ``time_s,<name1>,<name2>,...``, and each row holds the sample's time in
     seconds (index / rate) and its values. Every number is written exactly
     as printf's ``%.9g`` writes it. Rows are encoded in blocks of
-    ``_CSV_BLOCK``, so memory stays bounded: values in fixed notation are
-    formatted with NumPy, and the few that printf writes in exponent
-    notation (|v| < 1e-4 or >= 1e9 after rounding to 9 digits) are handed to
+    ``_CSV_BLOCK``, so memory stays bounded: values are formatted with
+    NumPy, and the few that are not (|v| < 1e-14 or >= 1e9 after rounding
+    to 9 digits, and the ties ``_mantissa`` cannot settle) are handed to
     printf itself.
     """
     items = list(signals.items()) if isinstance(signals, dict) else list(signals)
@@ -488,7 +564,7 @@ def write_csv(path, signals) -> None:
         raise ValueError("no signals to write")
     names = [str(name) for name, _ in items]
     for name in names:
-        if "," in name or "\n" in name:
+        if any(c in name for c in ",\n\r"):
             raise ValueError("invalid signal name: %r" % name)
     sigs = [sig for _, sig in items]
     n = len(sigs[0])

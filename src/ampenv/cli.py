@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 from pathlib import Path
@@ -48,11 +49,14 @@ def _output_plan(args, formats: tuple[str, str], default_stem: Path | None = Non
     ``formats`` holds "csv" and "wav", the command's default first (also the
     order of --format both). Without --format, an -o suffix of .csv or .wav
     picks the format. Each path is -o less that suffix, or ``default_stem``,
-    plus its format's suffix.
+    plus its format's suffix. An -o that names no file (empty, "." or "..",
+    or ending in a path separator) is a ValueError.
     """
     fmt = args.format
     stem = default_stem
-    if args.output:
+    if args.output is not None:
+        if os.path.basename(args.output) in ("", ".", ".."):
+            raise ValueError("output path %r names no file" % args.output)
         stem = Path(args.output)
         suffix = stem.suffix.lower()
         if suffix in (".csv", ".wav"):
@@ -64,12 +68,11 @@ def _output_plan(args, formats: tuple[str, str], default_stem: Path | None = Non
 
 
 def cmd_envelope(args) -> int:
+    source = Path(args.input)
+    plan = _output_plan(args, ("csv", "wav"), source.parent / (source.stem + "_envelope"))
     # Only the mixdown, not every decoded channel, is held through the pipeline.
     sig = to_mono(read_wav(args.input), args.channel)
     params = _resolve_params(args)
-    default_stem = Path(args.input).with_suffix("")
-    default_stem = default_stem.with_name(default_stem.name + "_envelope")
-    plan = _output_plan(args, ("csv", "wav"), default_stem)
     if any(kind == "wav" for kind, _ in plan):
         wav_header_rate(sig.sample_rate)  # before any output file is opened
     t0 = time.perf_counter()
@@ -147,10 +150,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    plan = _output_plan(args, ("wav", "csv"))
     sig, truth = generate(_synthetic_spec(args))
 
     written = []
-    for kind, path in _output_plan(args, ("wav", "csv")):
+    for kind, path in plan:
         if kind == "wav":
             truth_path = path.with_name(path.stem + "_truth.wav")
             write_wav(path, sig)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import decode_frames, wav_bytes
 
-from ampenv import Signal, WavFormatError, read_wav, to_mono, write_csv, write_wav
+from ampenv import Signal, SyntheticSpec, WavFormatError, read_wav, three_step_stages, to_mono, write_csv, write_wav
+from ampenv.bench import generate
 from ampenv.audio_io import _WAV_BLOCK, AudioFile
 
 
@@ -493,6 +494,15 @@ class TestOnePassMemory:
         peak = _traced_peak(write_wav, tmp_path / "out.wav", sig, fmt)
         assert peak <= width * self.N + temporaries + self.SLACK
 
+    def test_csv_holds_one_block_of_narrow_work_arrays(self, tmp_path):
+        # A 1.5 s clip's five columns, as `ampenv envelope` writes them: one
+        # block's work arrays, integers in int32 and int16 where they fit.
+        sig, _ = generate(SyntheticSpec(duration_s=1.5))
+        rectified, staircase, envelope = three_step_stages(sig)
+        columns = {"signal": sig, "abs": rectified, "staircase": staircase, "envelope": envelope}
+        write_csv(tmp_path / "first.csv", {"x": sig})  # builds the encoder's tables, once a process
+        assert _traced_peak(write_csv, tmp_path / "clip.csv", columns) <= 3_200_000
+
 
 class TestWriteCsv:
     def test_layout_and_times(self, tmp_path):
@@ -550,7 +560,7 @@ class TestWriteCsv:
                 {"a": Signal([1.0], 10.0), "b": Signal([1.0], 20.0)},
             )
 
-    @pytest.mark.parametrize("name", ["a,b", "a\nb"])
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
     def test_name_that_would_break_the_header_rejected(self, tmp_path, name):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match="invalid signal name"):

@@ -517,6 +517,45 @@ def test_malformed_command_line_is_one_line_exit_2(capsys, tone_wav, monkeypatch
     assert stderr.count("\n") == 1
 
 
+NO_FILE_OUTPUTS = pytest.mark.parametrize(
+    "output",
+    ["", ".", "..", "outdir/", "outdir/.", "outdir/.."],
+    ids=["empty", "dot", "dotdot", "slash", "slash-dot", "slash-dotdot"],
+)
+
+
+@NO_FILE_OUTPUTS
+@pytest.mark.parametrize("command", ["envelope", "synth"])
+def test_output_that_names_no_file_is_one_line_exit_2(capsys, tone_wav, monkeypatch, command, output):
+    # Not the default name, a file named after the directory, or a traceback.
+    monkeypatch.chdir(tone_wav.parent)
+    (tone_wav.parent / "outdir").mkdir()
+    argv = ["envelope", tone_wav.name] if command == "envelope" else ["synth", "--duration", "0.1"]
+    code, stdout, stderr = run(capsys, *argv, "-o", output)
+    assert (code, stdout, stderr) == (2, "", "ampenv: output path %r names no file\n" % output)
+    assert sorted(p.name for p in tone_wav.parent.rglob("*")) == ["outdir", "tone.wav"]
+
+
+@NO_FILE_OUTPUTS
+@pytest.mark.parametrize(
+    "argv", [["envelope", "missing.wav"], ["synth", "--duration", "1e12"]], ids=["missing-input", "input-too-long"]
+)
+def test_output_is_checked_before_the_input(capsys, tmp_path, monkeypatch, argv, output):
+    # Without the -o, each of these fails with exit 1: no such file, and out of memory.
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, *argv, "-o", output)
+    assert (code, stdout, stderr) == (2, "", "ampenv: output path %r names no file\n" % output)
+
+
+def test_envelope_of_an_empty_input_path_is_a_missing_file(capsys, tmp_path, monkeypatch):
+    # Its default output name is "_envelope"; the read fails first.
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run(capsys, "envelope", "")
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("ampenv: ") and stderr.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 def test_calls_in_one_process_are_independent(capsys, tone_wav, tmp_path):
     # main parses with one parser per process; each call must still behave
     # as if it were the only one, defaults included.

@@ -89,6 +89,10 @@ EDGES = [
     -9.9999999995,
     99999999.95,
     0.00099999999995,
+    0.99999999951,
+    9.999999995e-5,  # to 0.0001, in fixed notation
+    9.9999999996e-10,
+    9.999999999e-14,
     0.5,
     2.5,
     123456789.5,
@@ -150,18 +154,78 @@ def test_pcm16_ties_equal_printf(tmp_path):
     assert path.read_bytes() == printf_csv(columns)
 
 
+def equals_printf(tmp_path, values) -> bool:
+    """Whether write_csv writes ``values`` and their negations as printf does, byte for byte."""
+    values = np.asarray(values, np.float64)
+    columns = {"v": Signal(values, 44100.0), "negated": Signal(-values, 44100.0)}
+    path = tmp_path / "exact.csv"
+    write_csv(path, columns)
+    return path.read_bytes() == printf_csv(columns)
+
+
+def decade(e: int, rng) -> list:
+    """Values with printf exponent e: both ends of [10^e, 10^(e + 1)), and mantissas with zero groups and at random."""
+    first, last = float("1e%d" % e), np.nextafter(float("1e%d" % (e + 1)), 0.0)
+    ends = [first, np.nextafter(first, 1.0), last, np.nextafter(last, 0.0)]
+    ends += [float("%se%d" % (digits, e)) for digits in ("1.00000001", "1.000000005", "9.99999999", "9.999999994")]
+    mantissas = [100000001, 100001000, 101000000, 100000010, 120000000, *rng.integers(10**8, 10**9, 200)]
+    return ends + [float("%de%d" % (m, e - 8)) for m in mantissas]
+
+
+# e = -1 to -4 are the leading-zero counts 1 to 4 of fixed notation; -5 to
+# -14 exponent notation in NumPy; -15 and 9 go to printf.
+@pytest.mark.parametrize("e", range(-15, 10))
+def test_every_decade_equals_printf(tmp_path, rng, e):
+    assert equals_printf(tmp_path, decade(e, rng))
+
+
+def test_every_pcm16_value_equals_printf(tmp_path):
+    assert equals_printf(tmp_path, np.arange(-32768, 32768) / 32768.0)
+
+
+# k / 2^23 whose nine digits end in an exact half: k is an odd multiple of
+# 2^(14 + e) for printf exponent e, down to e = -5, where only 2^-14 is one.
+PCM24_TIES = np.arange(512, 2**23, 512) / 2.0**23
+PCM24_TIES = PCM24_TIES[PCM24_TIES * 10.0 ** (8 - np.floor(np.log10(PCM24_TIES))) % 1 == 0.5]
+
+
+def test_pcm24_ties_equal_printf(tmp_path):
+    assert PCM24_TIES.min() == 2.0**-14 and PCM24_TIES.size > 500
+    assert equals_printf(tmp_path, PCM24_TIES)
+
+
+def exponent_range_near_ties() -> np.ndarray:
+    """Doubles v in [1e-14, 1e-4) whose float product with 10^(8 - e) is a half-integer, unlike the exact one."""
+    rng = np.random.default_rng(5)
+    found = []
+    for e in range(-14, -4):
+        power = float(10 ** (8 - e))
+        half = rng.integers(10**8, 10**9, 400) + 0.5
+        v = half / power
+        found.append(v[v * power == half])
+    return np.concatenate(found)
+
+
+def test_exponent_range_near_ties_equal_printf(tmp_path):
+    assert equals_printf(tmp_path, exponent_range_near_ties())
+
+
 def test_exact_ties_stay_in_numpy_and_inexact_ones_go_to_printf():
-    # A product of a 24-bit value and a power of ten is exact, so rint's
-    # half to even is printf's; 10091.38125 * 10^4 rounds to a half in
-    # float64 but is not one, so its mantissa is left to printf (m = 0).
+    # A product of a 24-bit value and a power of ten is exact in fixed
+    # notation, so rint's half to even is printf's; 10091.38125 * 10^4
+    # rounds to a half in float64 but is not one, so its mantissa is left to
+    # printf (m = 0). Below 1e-4 only 2^-14 * 10^13 = 5^13 / 2 is an exact
+    # tie; every other float tie there goes to printf.
     from ampenv.audio_io import _mantissa
 
-    a = np.append(PCM16_TIES, [10091.38125, 12038.78975])
-    e = np.floor(np.log10(a)).astype(np.intp)
+    exact = np.append(PCM16_TIES, 2.0**-14)
+    inexact = np.append([10091.38125, 12038.78975], exponent_range_near_ties())
+    a = np.append(exact, inexact)
+    x = np.floor(np.log10(a)).astype(np.int16) + 16
     m = np.empty(a.size)
-    _mantissa(a, e, m, np.empty(a.size), np.empty(a.size, np.intp))
-    assert m[:-2].tolist() == [int(("%.8e" % v)[:10].replace(".", "")) for v in PCM16_TIES]
-    assert m[-2:].tolist() == [0.0, 0.0]
+    _mantissa(a, x, m, np.empty(a.size))
+    assert m[: exact.size].tolist() == [int(("%.8e" % v)[:10].replace(".", "")) for v in exact]
+    assert inexact.size > 1000 and not m[exact.size :].any()
 
 
 def _decimal_ties():
