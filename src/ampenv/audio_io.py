@@ -243,12 +243,19 @@ _CSV_BLOCK = 4096  # write_csv rows per encoded block; bounds the encoder's buff
 # e = 8 the ninth digit, in hi, is shifted by A = 0. Exponent notation (e in
 # [-14, -5]) is "d.dddddddde-XX": one digit before the dot, a four-byte
 # suffix after the last. The masks that keep either copy's digits, the
-# field's constant bytes ("0.000", ".", "e-05", the separator), A and the
-# field's length come from tables indexed by its shape: x, the count of m's
-# digits up to its last nonzero one, and whether the column is the row's
-# last. Each field is then shifted to its byte offset in the output's 8-byte
-# words and summed in with np.add.at. Fields cover disjoint bytes, so the sum
-# is their concatenation.
+# field's constant bytes ("0.000", ".", "e-05", the separator ","), A and the
+# field's length come from tables indexed by its shape: x and the count of
+# m's digits up to its last nonzero one. Each field is then shifted to its
+# byte offset in the output's 8-byte words and summed in with np.add.at.
+# Fields cover disjoint bytes, so the sum is their concatenation; each row's
+# last separator is then overwritten with a newline.
+#
+# A field's bytes other than its sign depend only on |v|, and each sign is
+# placed from the value's own sign bit. So a column that equals |previous
+# column| takes that column's fields, and one value per run of equal values
+# gives the fields of the whole run; digits are built only for the other
+# values (``_CsvEncoder._select``). Fields that printf writes carry their
+# sign in their text, so each of those is formatted from its own value.
 #
 # rint rounds the float product where printf rounds the exact one. They can
 # part only where the float product is exactly a half-integer, and there
@@ -261,7 +268,6 @@ _X_BIAS, _X_MAX = 16, 24  # x = e + 16 for printf's exponent e, up to e = 8
 # 0 hands the value to printf.
 _POW10 = np.array([0.0, 0.0] + [float(10 ** (_X_BIAS + 8 - x)) for x in range(2, _X_MAX + 1)])
 _X_KEY = 10  # stride of x in a field's shape key: the count of m's significant digits is 0-9
-_LAST_KEY = _X_KEY * (_X_MAX + 1)
 _FIELD_MAX = 17  # bytes of the longest field, as in "-1.23456789e-200,"
 
 
@@ -303,16 +309,15 @@ def _csv_tables() -> _CsvTables:
     group, as in m = 0, and -32 in the others, so that a zero group never
     decides the maximum of the three.
 
-    Per field shape, indexed by ``_LAST_KEY * last + _X_KEY * x +
-    significant``: ``x`` (0-24), ``significant`` (0-9) of m's digits up to
-    its last nonzero one, and ``last`` 1 in the last column. The lo mask that
-    keeps the digits before the dot (``keep_before``); the (lo, hi) masks
-    that keep the digits after it from the words shifted A bytes up
-    (``keep_after``); the constant bytes and the separator (``fixed``); the
-    shift 8A in bits (``shift``); and the field's length without a sign
+    Per field shape, indexed by ``_X_KEY * x + significant``: ``x`` (0-24)
+    and ``significant`` (0-9) of m's digits up to its last nonzero one. The
+    lo mask that keeps the digits before the dot (``keep_before``); the (lo,
+    hi) masks that keep the digits after it from the words shifted A bytes up
+    (``keep_after``); the constant bytes and the separator "," (``fixed``);
+    the shift 8A in bits (``shift``); and the field's length without a sign
     (``field_len``).
 
-    The digit tables have 1,000 entries and the shape tables 500, so
+    The digit tables have 1,000 entries and the shape tables 250, so
     building them on first use takes a few milliseconds.
     """
     groups = ["%03d" % g for g in range(1000)]
@@ -323,28 +328,27 @@ def _csv_tables() -> _CsvTables:
     significant3[1:, 0] = -32
 
     keep_before, keep_after, fixed, shift, field_len = [], [], [], [], []
-    for last in (0, 1):
-        for x in range(_X_MAX + 1):
-            for significant in range(_X_KEY):
-                text = _field_text(x, significant)
-                before, after, const = bytearray(8), bytearray(16), bytearray(16)
-                shifts = set()  # A, the same for every digit after the dot
-                for pos, item in enumerate(text):
-                    if isinstance(item, str):
-                        const[pos] = ord(item)
-                    elif pos == item < 8:
-                        before[pos] = 0xFF
-                    else:
-                        after[pos] = 0xFF
-                        shifts.add(pos - item)
-                if text:
-                    const[len(text)] = ord("\n" if last else ",")
-                (a,) = shifts or {1}
-                keep_before.append(bytes(before))
-                keep_after.append(bytes(after))
-                fixed.append(bytes(const))
-                shift.append(8 * a)
-                field_len.append(len(text) + 1 if text else 0)
+    for x in range(_X_MAX + 1):
+        for significant in range(_X_KEY):
+            text = _field_text(x, significant)
+            before, after, const = bytearray(8), bytearray(16), bytearray(16)
+            shifts = set()  # A, the same for every digit after the dot
+            for pos, item in enumerate(text):
+                if isinstance(item, str):
+                    const[pos] = ord(item)
+                elif pos == item < 8:
+                    before[pos] = 0xFF
+                else:
+                    after[pos] = 0xFF
+                    shifts.add(pos - item)
+            if text:
+                const[len(text)] = ord(",")
+            (a,) = shifts or {1}
+            keep_before.append(bytes(before))
+            keep_after.append(bytes(after))
+            fixed.append(bytes(const))
+            shift.append(8 * a)
+            field_len.append(len(text) + 1 if text else 0)
 
     def words(rows):  # 16-byte rows -> their (lo, hi) little-endian words
         pairs = np.frombuffer(b"".join(rows), "<u8")
@@ -400,14 +404,19 @@ class _CsvEncoder:
     the rare ones just below a power of ten whose log10 rounds up, ties that
     ``_mantissa`` cannot settle, and any non-finite values are formatted by
     printf itself.
+
+    A block is held column by column (``block``), so each column's checks,
+    fields and offsets are contiguous. Digits are built only for the values
+    ``_select`` picks.
     """
 
     def __init__(self, rows: int, columns: int):
         size = rows * columns
         self._tables = _csv_tables()
-        self._columns = columns
-        self.rows = np.empty((rows, columns))
-        self._words = np.empty((5, size), np.uint64)  # its first three rows hold m's float work arrays first
+        self.block = np.empty((columns, rows))
+        # Rows 0-2 hold the fields built (lo, t2 and length), rows 3-5 every
+        # field of the block; m's float work arrays come first in rows 0-2.
+        self._words = np.empty((6, size), np.uint64)
         self._index = np.empty((4, size), np.intp)
         self._int32 = np.empty((4, size), np.int32)
         self._int16 = np.empty((3, size), np.int16)
@@ -416,23 +425,60 @@ class _CsvEncoder:
         # summed into the 3 words from its start: 3 spare words.
         self._out = np.empty(_FIELD_MAX * size // 8 + 3, np.uint64)
 
-    def encode(self, values: np.ndarray) -> np.ndarray:
-        """The text of whole rows, given flattened row by row; a uint8 view of a buffer."""
+    def _select(self, block: np.ndarray) -> tuple[list, int]:
+        """Put |v| of the values whose digits are built in the first word array's float view.
+
+        Returns, per column, where its fields lie among them (a slice, or
+        an index per row), and their count. A column equal to np.abs of the
+        column before it lies where that column does. A column whose values
+        run in runs of equal values two rows or more long on average, as a
+        staircase of bunch peaks does, gives one value per run, whose field
+        every row of the run takes. Every other column gives all of its
+        values.
+        """
+        rows = block.shape[1]
+        a = self._words[0].view(np.float64)
+        head = self._neg[:rows]
+        plan = []
+        count = 0
+        for c, column in enumerate(block):
+            if c and abs(block[c - 1, 0]) == column[0]:  # else it cannot equal |previous column|
+                if np.equal(np.abs(block[c - 1]), column, out=head).all():
+                    plan.append(plan[-1])
+                    continue
+            head[0] = True
+            np.not_equal(column[1:], column[:-1], out=head[1:])
+            runs = np.count_nonzero(head)
+            if 2 * runs <= rows:
+                starts = np.flatnonzero(head)
+                run_length = np.empty(runs, np.intp)
+                np.subtract(starts[1:], starts[:-1], out=run_length[:-1])
+                run_length[-1] = rows - starts[-1]
+                where = np.repeat(np.arange(count, count + runs), run_length)
+                column = column[starts]
+            else:
+                where = slice(count, count + rows)
+            plan.append(where)
+            np.abs(column, out=a[count : count + column.size])
+            count += column.size
+        return plan, count
+
+    def encode(self, block: np.ndarray) -> np.ndarray:
+        """The text of a block of whole rows, given column by column as (columns, rows); a uint8 view of a buffer."""
         tables = self._tables
-        n = values.size
-        a, f, m = self._words[:3, :n].view(np.float64)  # free once m is an int32
-        lo, hi, t, t2, w = self._words[:, :n]
-        groups, k = self._index[:3, :n], self._index[3, :n]
-        g0, g1, g2, q = self._int32[:, :n]
-        x, s, s2 = self._int16[:, :n]
-        neg = self._neg[:n]
+        columns, rows = block.shape
+        plan, count = self._select(block)
+        a, f, m = self._words[:3, :count].view(np.float64)  # free once m is an int32
+        lo, t2, length, hi, t, w = self._words[:, :count]
+        groups, k = self._index[:3, :count], self._index[3, :count]
+        g0, g1, g2, q = self._int32[:, :count]
+        x, s, s2 = self._int16[:, :count]
 
         # x = floor(log10 |v|) + 16, clipped to [1, 24], and the mantissa m.
         # printf formats the values whose m then falls outside [1e8, 1e9),
         # other than 0: |v| < 1e-14 or >= 1e9, and the rare ones just below
         # a power of ten, where log10 can round up or m rounds up into the
-        # next decade. They get x = 0 and m = 0.
-        np.abs(values, out=a)
+        # next decade. They get x = 0 and m = 0, a field of no bytes.
         with np.errstate(divide="ignore", invalid="ignore"):  # log10(0) = -inf, and it or a NaN to int
             np.log10(a, out=f)
             f += _X_BIAS  # below 1e-16, where the cast does not floor, x is clipped to 1
@@ -458,7 +504,7 @@ class _CsvEncoder:
         np.floor_divide(g1, 1000, out=g0)
         np.multiply(g0, 1000, out=q)
         g1 -= q
-        np.copyto(groups, self._int32[:3, :n])
+        np.copyto(groups, self._int32[:3, :count])
         g0, g1, g2 = groups
         tables.ascii3[0].take(g0, out=lo, mode="clip")
         tables.ascii3[1].take(g1, out=w, mode="clip")
@@ -468,7 +514,7 @@ class _CsvEncoder:
         tables.ascii3[3].take(g2, out=hi, mode="clip")
 
         # The field's shape k, from x and m's digits up to its last nonzero
-        # one; then its bytes (lo, t2).
+        # one; then its bytes (lo, t2) and its length without the sign.
         tables.significant3[0].take(g0, out=s, mode="clip")
         tables.significant3[1].take(g1, out=s2, mode="clip")
         np.maximum(s, s2, out=s)
@@ -476,7 +522,6 @@ class _CsvEncoder:
         np.maximum(s, s2, out=s)
         x *= _X_KEY
         x += s
-        x.reshape(-1, self._columns)[:, -1] += _LAST_KEY
         np.copyto(k, x)
         tables.shift.take(k, out=w, mode="clip")
         np.left_shift(lo, w, out=t)
@@ -496,25 +541,53 @@ class _CsvEncoder:
         t2 &= w
         tables.fixed[1].take(k, out=w, mode="clip")
         t2 |= w
-        length = g0  # without the sign
-        tables.field_len.take(k, out=length, mode="clip")
-        np.signbit(values, out=neg)
+        tables.field_len.take(k, out=length.view(np.intp), mode="clip")
+
+        # Every field of the block, column by column. printf writes each
+        # field that has no bytes from its own value, with its sign: a field
+        # of |v| taken from one of v would carry v's '-'.
+        n = block.size
+        built, fields = self._words[:3, :count], self._words[3:, :n]
+        for c, where in enumerate(plan):
+            column = fields[:, c * rows : (c + 1) * rows]
+            if isinstance(where, slice):
+                column[...] = built[:, where]
+            else:
+                for part, field in zip(built, column):
+                    part.take(where, out=field, mode="clip")
+        lo, t2 = fields[:2]
+        length = fields[2].view(np.intp)
+        hi, t = self._words[:2, :n]
+        start, size, sign = self._index[:3, :n]  # sign: neg as 0 or 1
+        neg = self._neg[:n]
+        if printf.size:  # else no field has no bytes
+            printf = np.flatnonzero(np.equal(length, 0, out=neg))
+        np.signbit(block, out=neg.reshape(columns, rows))
         if printf.size:
             neg[printf] = False  # printf writes the sign
-            text = np.frombuffer((("%.9g," * printf.size) % tuple(values[printf].tolist())).encode("ascii"), np.uint8)
+            values = block[np.divmod(printf, rows)].tolist()
+            text = np.frombuffer((("%.9g," * printf.size) % tuple(values)).encode("ascii"), np.uint8)
             text_end = np.flatnonzero(text == ord(",")) + 1
             text_len = text_end.copy()
             text_len[1:] -= text_end[:-1]
             length[printf] = text_len
 
+        # Each field's bytes (size, with any sign) and each row's end; then,
+        # from the last column back, where each field starts.
+        np.copyto(sign, neg)
+        np.add(length, sign, out=size)
+        sizes, starts = size.reshape(columns, rows), start.reshape(columns, rows)
+        row_end = self._index[3, :rows]
+        np.add.reduce(sizes, axis=0, out=row_end)
+        np.cumsum(row_end, out=row_end)
+        np.subtract(row_end, sizes[-1], out=starts[-1])
+        for c in range(columns - 2, -1, -1):
+            np.subtract(starts[c + 1], sizes[c], out=starts[c])
+        start += sign  # the digits start after any sign
+
         # A field whose digits start at byte b of the output is shifted up
         # by b % 8 bytes into words b // 8 to b // 8 + 2 (lo, t2, hi).
-        end = g1
-        np.add(length, neg, out=end)
-        np.cumsum(end, out=end)
-        start = k  # of the digits, after any sign
-        np.subtract(end, length, out=start)
-        shift = g2
+        shift = size
         np.bitwise_and(start, 7, out=shift)
         shift <<= 3
         shift = shift.view(np.uint64)
@@ -526,10 +599,10 @@ class _CsvEncoder:
         hi >>= np.uint64(1)
         t2 <<= shift
         t2 |= t
-        total = int(end[-1]) if n else 0
+        total = int(row_end[-1])
         out = self._out[: total // 8 + 3]
         out.fill(0)
-        word = g0
+        word = length
         np.right_shift(start, 3, out=word)
         for part in (lo, t2, hi):
             np.add.at(out, word, part)
@@ -537,8 +610,8 @@ class _CsvEncoder:
         text_out = out.view(np.uint8)
         if printf.size:
             text_out[np.repeat(start[printf] - (text_end - text_len), text_len) + np.arange(text.size)] = text
-            last = printf[printf % self._columns == self._columns - 1]
-            text_out[end[last] - 1] = ord("\n")
+        row_end -= 1
+        text_out[row_end] = ord("\n")  # over each row's last separator
         signs = start.take(np.flatnonzero(neg))
         signs -= 1
         text_out[signs] = ord("-")
@@ -558,6 +631,16 @@ def write_csv(path, signals) -> None:
     NumPy, and the few that are not (|v| < 1e-14 or >= 1e9 after rounding
     to 9 digits, and the ties ``_mantissa`` cannot settle) are handed to
     printf itself.
+
+    Within a block, digits are built only for the values that need them. A
+    column that equals np.abs of the column before it, as ``ampenv
+    envelope``'s abs column does its signal's, takes that column's digits;
+    a column of runs of equal values, as its staircase of bunch peaks is,
+    takes one value's digits per run. The bytes do not change: printf's
+    text of |v| is the text of v without its '-', equal values have equal
+    text but for the sign, and every sign is written from the value's own
+    sign bit. A value printf writes is formatted from its own value, sign
+    and all, in every column.
     """
     items = list(signals.items()) if isinstance(signals, dict) else list(signals)
     if not items:
@@ -580,11 +663,11 @@ def write_csv(path, signals) -> None:
         f.flush()  # the rows go to the byte stream under the text layer
         for start in range(0, n, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, n)
-            chunk = encoder.rows[: stop - start]
-            np.divide(np.arange(start, stop), rate, out=chunk[:, 0])
-            for column, sig in enumerate(sigs, 1):
-                chunk[:, column] = sig.samples[start:stop]
-            f.buffer.write(encoder.encode(chunk.reshape(-1)))
+            block = encoder.block[:, : stop - start]
+            np.divide(np.arange(start, stop), rate, out=block[0])
+            for column, sig in zip(block[1:], sigs):
+                column[:] = sig.samples[start:stop]
+            f.buffer.write(encoder.encode(block))
 
 
 def to_mono(audio: AudioFile, mode="mean") -> Signal:

@@ -49,14 +49,11 @@ def _output_plan(args, formats: tuple[str, str], default_stem: Path | None = Non
     ``formats`` holds "csv" and "wav", the command's default first (also the
     order of --format both). Without --format, an -o suffix of .csv or .wav
     picks the format. Each path is -o less that suffix, or ``default_stem``,
-    plus its format's suffix. An -o that names no file (empty, "." or "..",
-    or ending in a path separator) is a ValueError.
+    plus its format's suffix.
     """
     fmt = args.format
     stem = default_stem
     if args.output is not None:
-        if os.path.basename(args.output) in ("", ".", ".."):
-            raise ValueError("output path %r names no file" % args.output)
         stem = Path(args.output)
         suffix = stem.suffix.lower()
         if suffix in (".csv", ".wav"):
@@ -299,9 +296,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _check_output(args) -> None:
+    """Reject an -o that names no file: empty, "." or "..", or ending in a path separator.
+
+    Every command's -o is checked here, before the command reads or
+    generates its input.
+    """
+    output = getattr(args, "output", None)
+    if output is not None and os.path.basename(output) in ("", ".", ".."):
+        raise ValueError("output path %r names no file" % output)
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
+        _check_output(args)
         return args.func(args)
     except (WavFormatError, OSError) as exc:
         print("ampenv: %s" % exc, file=sys.stderr)

@@ -524,24 +524,39 @@ NO_FILE_OUTPUTS = pytest.mark.parametrize(
 )
 
 
+COMMANDS_WITH_OUTPUT = {
+    "envelope": ["envelope", "tone.wav"],
+    "synth": ["synth", "--duration", "0.1"],
+    "compare": ["compare", "--duration", "0.1"],
+    "filter-dump": ["filter-dump", "--cutoff", "300"],
+}
+
+
 @NO_FILE_OUTPUTS
-@pytest.mark.parametrize("command", ["envelope", "synth"])
+@pytest.mark.parametrize("command", sorted(COMMANDS_WITH_OUTPUT))
 def test_output_that_names_no_file_is_one_line_exit_2(capsys, tone_wav, monkeypatch, command, output):
-    # Not the default name, a file named after the directory, or a traceback.
+    # Not the default name, a file named after the directory, stdout, or a traceback.
     monkeypatch.chdir(tone_wav.parent)
     (tone_wav.parent / "outdir").mkdir()
-    argv = ["envelope", tone_wav.name] if command == "envelope" else ["synth", "--duration", "0.1"]
-    code, stdout, stderr = run(capsys, *argv, "-o", output)
+    code, stdout, stderr = run(capsys, *COMMANDS_WITH_OUTPUT[command], "-o", output)
     assert (code, stdout, stderr) == (2, "", "ampenv: output path %r names no file\n" % output)
     assert sorted(p.name for p in tone_wav.parent.rglob("*")) == ["outdir", "tone.wav"]
 
 
 @NO_FILE_OUTPUTS
 @pytest.mark.parametrize(
-    "argv", [["envelope", "missing.wav"], ["synth", "--duration", "1e12"]], ids=["missing-input", "input-too-long"]
+    "argv",
+    [
+        ["envelope", "missing.wav"],
+        ["synth", "--duration", "1e12"],
+        ["compare", "missing.wav"],
+        ["filter-dump", "--cutoff", "300", "--points", "-3"],
+    ],
+    ids=["missing-input", "input-too-long", "compare-missing-input", "filter-dump-bad-points"],
 )
 def test_output_is_checked_before_the_input(capsys, tmp_path, monkeypatch, argv, output):
-    # Without the -o, each of these fails with exit 1: no such file, and out of memory.
+    # Without the -o, each of these fails in its own way: no such file, out
+    # of memory, no such file, and a bad --points.
     monkeypatch.chdir(tmp_path)
     code, stdout, stderr = run(capsys, *argv, "-o", output)
     assert (code, stdout, stderr) == (2, "", "ampenv: output path %r names no file\n" % output)

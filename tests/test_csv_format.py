@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import printf_csv
 
-from ampenv import PRESETS, Signal, SyntheticSpec, read_wav, three_step_stages, to_mono, write_csv
+from ampenv import PRESETS, EnvelopeParams, Signal, SyntheticSpec, read_wav, three_step_stages, to_mono, write_csv
 from ampenv.bench import generate
 from ampenv.cli import main
 
@@ -256,3 +256,101 @@ def test_every_finite_double_reads_back_as_printf(tmp_path, values):
     rows = path.read_text().split("\n")
     assert rows[0] == "time_s,v" and rows[-1] == ""
     assert [row.split(",")[1] for row in rows[1:-1]] == ["%.9g" % v for v in values]
+
+
+# -- Columns whose fields are taken from other values -------------------------
+#
+# write_csv builds digits only for the values that need them: a column that
+# is bit for bit |previous column| in a block takes that column's fields, and
+# a column of runs, such as the staircase of bunch peaks, one field per run.
+
+
+def peak_hold(v: np.ndarray, bunch: int) -> np.ndarray:
+    """The bunch peaks of |v|, each held over its bunch; the last bunch may be partial."""
+    peaks = np.maximum.reduceat(np.abs(v), np.arange(0, v.size, bunch))
+    return np.repeat(peaks, bunch)[: v.size]
+
+
+def derived_columns(v: np.ndarray, bunch: int, w: np.ndarray) -> dict:
+    """(v, |v|, the peak hold of v, w), the relations of the envelope CSV's columns."""
+    return {name: Signal(column, 44100.0) for name, column in
+            (("v", v), ("abs", np.abs(v)), ("hold", peak_hold(v, bunch)), ("w", w))}
+
+
+def derived_values(kind: str, n: int, rng) -> np.ndarray:
+    """n values of ``kind``, in random order and with random signs."""
+    if kind == "edges":
+        pool = np.array(EDGES, np.float64)
+    elif kind == "printf":  # below 1e-14 (0 aside) and from 1e9 up
+        pool = np.concatenate([10.0 ** rng.uniform(-300, -14, 200), 10.0 ** rng.uniform(9, 300, 200)])
+    elif kind == "ties":  # inexact ties go to printf; exact ones stay
+        pool = np.concatenate([[10091.38125, 12038.78975, 2.0**-14], exponent_range_near_ties(), PCM16_TIES])
+    else:  # zeros of both signs among ordinary values
+        pool = np.concatenate([[0.0, -0.0] * 50, rng.standard_normal(100)])
+    v = rng.choice(pool, n)
+    return np.where(rng.random(n) < 0.5, -v, v)
+
+
+# Bunch sizes: 1, where the hold is the abs column itself; 7 and 200, whose
+# runs cross the 4,096-row block edges; and 64, whose runs end at them.
+# Every length leaves a trailing partial bunch but at 1 and 64.
+@pytest.mark.parametrize("bunch", [1, 7, 64, 200])
+@pytest.mark.parametrize("kind", ["edges", "printf", "ties", "zeros"])
+def test_derived_columns_equal_printf(tmp_path, rng, kind, bunch):
+    from ampenv.audio_io import _CSV_BLOCK
+
+    n = 2 * _CSV_BLOCK + 64 * 5
+    v = derived_values(kind, n, rng)
+    # w holds values of both signs in runs, -0.0 and 0.0 among them.
+    w = np.repeat(derived_values(kind, n // 3 + 1, rng), 3)[:n]
+    columns = derived_columns(v, bunch, w)
+    path = tmp_path / "derived.csv"
+    write_csv(path, columns)
+    assert path.read_bytes() == printf_csv(columns)
+
+
+def test_column_equal_to_abs_in_some_blocks_equals_printf(tmp_path, rng):
+    # The abs column equals |v| in the first block only: in the second one
+    # value is negative, and in the third -0.0 stands where |v| is 0.0. The
+    # last column equals |abs| in every block.
+    from ampenv.audio_io import _CSV_BLOCK
+
+    n = 3 * _CSV_BLOCK
+    v = derived_values("edges", n, rng)
+    v[-5:] = -0.0
+    a = np.abs(v)
+    a[_CSV_BLOCK + 100] = -1.0
+    a[-5:] = -0.0
+    columns = {"v": Signal(v, 44100.0), "abs": Signal(a, 44100.0), "abs_of_abs": Signal(np.abs(a), 44100.0)}
+    path = tmp_path / "some_blocks.csv"
+    write_csv(path, columns)
+    assert path.read_bytes() == printf_csv(columns)
+
+
+@pytest.mark.parametrize("n, bunch", [(4000, 35), (2 * 4096 + 100, 64), (4000, 1)])
+def test_envelope_csv_builds_digits_for_three_columns_and_the_peaks(tmp_path, capsys, monkeypatch, n, bunch):
+    # time, signal and envelope take n values each; abs takes the signal's
+    # fields, and the staircase one field per bunch. Each bunch edge here is
+    # also a block edge: a run across one is built once in each block. At
+    # bunch size 1 the staircase is the abs column itself.
+    from ampenv import audio_io
+
+    built = []
+    mantissa = audio_io._mantissa
+
+    def counted(a, *rest):
+        built.append(a.size)
+        return mantissa(a, *rest)
+
+    monkeypatch.setattr(audio_io, "_mantissa", counted)
+    noise = np.random.default_rng(n + bunch).uniform(-1.0, 1.0, n)
+    wav = tmp_path / "noise.wav"
+    audio_io.write_wav(wav, Signal(noise, 44100.0), "float32")
+    out = tmp_path / "noise.csv"
+    assert main(["envelope", str(wav), "--bunch", str(bunch), "--cutoff", "300", "-o", str(out)]) == 0
+    assert sum(built) == 3 * n + (-(-n // bunch) if bunch > 1 else 0)
+    sig = read_wav(wav).channels[0]
+    rectified, staircase, envelope = three_step_stages(sig, EnvelopeParams(bunch_size=bunch, cutoff_hz=300.0))
+    assert out.read_bytes() == printf_csv(
+        {"signal": sig, "abs": rectified, "staircase": staircase, "envelope": envelope}
+    )
