@@ -52,7 +52,7 @@ _CODEC_NAMES = {
 
 @dataclass(frozen=True, eq=False)
 class AudioFile:
-    """Decoded audio: one Signal per channel, all the same length."""
+    """Decoded audio: one Signal per channel, all the same length and at the file's rate."""
 
     channels: tuple[Signal, ...]
     sample_rate_hz: float
@@ -65,8 +65,12 @@ class AudioFile:
         length = len(channels[0])
         if any(len(ch) != length for ch in channels):
             raise ValueError("signal length mismatch across channels")
+        rate = float(self.sample_rate_hz)
+        for ch in channels:
+            if ch.sample_rate != rate:
+                raise ValueError("inconsistent sample rate: channel at %g Hz, file at %g Hz" % (ch.sample_rate, rate))
         object.__setattr__(self, "channels", channels)
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
+        object.__setattr__(self, "sample_rate_hz", rate)
 
     @property
     def n_channels(self) -> int:

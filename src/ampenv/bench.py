@@ -213,6 +213,10 @@ def compare_methods(
         raise ValueError(
             "signal length mismatch: truth has %d samples, signal %d" % (len(truth), len(s))
         )
+    if truth is not None and truth.sample_rate != s.sample_rate:
+        raise ValueError(
+            "inconsistent sample rate: truth at %g Hz, signal at %g Hz" % (truth.sample_rate, s.sample_rate)
+        )
 
     for method, _ in configs:
         if method not in ESTIMATORS:

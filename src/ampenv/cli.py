@@ -47,21 +47,23 @@ def _output_plan(args, formats: tuple[str, str], default_stem: Path | None = Non
     """Map -o/--format onto a list of (format, path) writes.
 
     ``formats`` holds "csv" and "wav", the command's default first (also the
-    order of --format both). Without --format, an -o suffix of .csv or .wav
-    picks the format. Each path is -o less that suffix, or ``default_stem``,
-    plus its format's suffix.
+    order of --format both). Without --format, an -o suffix of .csv or .wav,
+    in any case, picks the format. Each path is -o less that suffix, or
+    ``default_stem``, plus its format's suffix: -o's own, as written, for
+    the format it names, so that -o is the exact file written.
     """
     fmt = args.format
-    stem = default_stem
+    stem, suffixes = default_stem, {}
     if args.output is not None:
         stem = Path(args.output)
-        suffix = stem.suffix.lower()
-        if suffix in (".csv", ".wav"):
+        named = stem.suffix.lower()[1:]
+        if named in formats:
+            suffixes[named] = stem.suffix
             stem = stem.with_suffix("")
-            fmt = fmt or suffix[1:]
+            fmt = fmt or named
     fmt = fmt or formats[0]
     chosen = formats if fmt == "both" else (fmt,)
-    return [(f, stem.with_name(stem.name + "." + f)) for f in chosen]
+    return [(f, stem.with_name(stem.name + suffixes.get(f, "." + f))) for f in chosen]
 
 
 def cmd_envelope(args) -> int:

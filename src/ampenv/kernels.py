@@ -9,30 +9,40 @@ impulse response times the block's input, plus an observability matrix
 times the state at the block's start. The operators are built once per
 design in ``np.longdouble`` and rounded once to float64.
 
-The state is carried across blocks in one of two ways, chosen by the
-input's length:
+One pass, ``_sos_blocked``, runs every call. It lays x out as one row
+per block: the block's ``BLOCK`` inputs (the last block's zero-padded),
+then room for the block's start state in the system's basis. It fills
+those states from ``zi`` in one of two ways, below; every block's output
+is then its row @ one (L + S, L) matrix, and the end state is the last
+row @ the advance over that block's inputs, taken back to the (s0, s1)
+delay-pair basis that callers pass in ``zi``. Which way, by the input's
+length:
 
-- The spans ``filter_causal`` feeds, whole groups of ``GROUP`` blocks up
-  to ``CARRY_SPAN`` samples and remainders shorter than one group, run
-  group by group (``_sos_carried``). Inside a group the state is chained
-  from block to block in the system's basis; at each group edge it is
-  taken to the (s0, s1) delay-pair basis that callers pass in ``zi``, and
-  back. Each group's outputs come from one product of the same shape. A
-  group's results then depend only on its inputs and its start state,
-  never on where a call starts, so ``filter_causal``, which lays the
-  groups on the stream's own sample grid, and streaming reproduce an
-  uncut run bit for bit. There is no single product over all the blocks
-  of a call: some OpenBLAS kernels round a row of a GEMM differently by
-  where it sits in a taller product.
-- Other lengths sum the block-start states by doubling (a Hillis-Steele
-  scan, ``_sos_scanned``) and take every block's output from one matrix
-  product. That avoids a Python step per block, 3-5x faster, but a block's
-  rounding then depends on where it sits in the input. The zero-phase
+- The chain, for the spans ``filter_causal`` feeds: whole groups of
+  ``GROUP`` blocks up to ``CARRY_SPAN`` samples, and remainders shorter
+  than one group. Each start state is the one before @ the block
+  advance, one Python step a block; at each group edge the state goes to
+  the (s0, s1) basis and back, as it does between calls. The outputs are
+  one (GROUP, L + S) product per group, a short last group padded with
+  zero rows, so a block always sits at the row its place in its group
+  gives. A group's outputs and end state then depend only on its inputs
+  and its start state, never on where a call starts, so ``filter_causal``,
+  which lays the groups on the stream's own sample grid, and streaming
+  reproduce an uncut run bit for bit. One product over all the blocks
+  would not: under OpenBLAS's Haswell and Nehalem kernels how a row of a
+  GEMM rounds depends on the product's height and on the row's place in
+  it.
+- The scan, for every other length: the start states are summed by
+  doubling (a Hillis-Steele scan), with no Python step per block, and the
+  outputs are one flat product over all rows. On 2^17-sample pieces that
+  is ~2x faster than the chain, but a block's rounding then depends on
+  where it sits in the input. The product stays flat: the chain's grouped
+  one is over 2x slower under OpenBLAS's Haswell kernels. The zero-phase
   driver behind ``filtfilt_zero_phase`` and the peak-hold envelope feeds
-  each pass in pieces of 2^17 samples, the first and last with their pads,
-  or a shorter input as one padded array. These take the scan unless
-  their length is one of the carried ones above: a last piece shorter
-  than a group, or a padded input of whole groups up to ``CARRY_SPAN``.
+  each pass in pieces of 2^17 samples, the first and last with their
+  pads, or a shorter input as one padded array. These take the scan
+  unless their length is a chained one: a last piece shorter than a
+  group, or a padded input of whole groups up to ``CARRY_SPAN``.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ import functools
 import numpy as np
 
 BLOCK = 128  # samples per block, a power of two: A^BLOCK is a repeated square
-GROUP = 4  # blocks per group of the carried path: one output GEMM of this many rows
+GROUP = 4  # blocks per group of the chain: one output GEMM of this many rows
 CARRY_SPAN = 64 * BLOCK  # the longest group-aligned span filter_causal feeds
 _SCAN_STEPS = 48  # block-transition powers kept: the scan covers 2^48 blocks
 
@@ -132,31 +142,13 @@ def _shared(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _block_rows(x: np.ndarray, n_states: int, n_rows: int):
-    """``n_rows`` rows, one per block of x: its input, zero-padded, then room for its start state.
-
-    Rows past the input's last block are zeros. Also returns the number of
-    inputs in the last block.
-    """
-    count = len(x)
-    n_blocks = -(-count // BLOCK)
-    r = count - (n_blocks - 1) * BLOCK
-    rows = np.empty((n_rows, BLOCK + n_states))
-    rows[: n_blocks - 1, :BLOCK] = x[: count - r].reshape(n_blocks - 1, BLOCK)
-    rows[n_blocks - 1, :r] = x[count - r :]
-    rows[n_blocks - 1, r:BLOCK] = 0.0
-    rows[n_blocks:] = 0.0
-    return rows, r
-
-
 def _output_matrix(h: np.ndarray, observe: np.ndarray) -> np.ndarray:
     """A block's output row is [input row, start state] @ this matrix.
 
     Row j of the transposed Toeplitz part is h[L - 1 - j : 2L - 1 - j]: j
-    zeros, then the impulse response. The carried path multiplies it by
-    ``GROUP`` rows at a time, the scan by all rows at once. Built per call:
-    caching it with the operators raised the peak RSS of a 60 s file's
-    envelope by 4.7% (127.4 to 133.4 MB).
+    zeros, then the impulse response. Built per call: caching it with the
+    operators raised the peak RSS of a 60 s file's envelope by 4.7% (127.4
+    to 133.4 MB).
     """
     step = h.itemsize
     toeplitz = np.ndarray((BLOCK, BLOCK), buffer=h, offset=(BLOCK - 1) * step, strides=(-step, step))
@@ -168,58 +160,41 @@ def _advance(r: int, carry: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return np.concatenate((carry[BLOCK - r : 2 * BLOCK - r], powers[r]))
 
 
-def _sos_scanned(sos: np.ndarray, x: np.ndarray, zi: np.ndarray):
-    """The cascade over x, block-start states summed by a doubling scan; returns (output, final state)."""
+def _sos_blocked(sos: np.ndarray, x: np.ndarray, zi: np.ndarray, chained: bool):
+    """The cascade over x, block-start states chained or scanned; returns (output, final state)."""
     h, observe, carry, powers, steps, to_system, to_delay = _block_operators(_key(sos))
-    rows, r = _block_rows(x, len(to_delay), -(-len(x) // BLOCK))
+    count = len(x)
+    n_blocks = -(-count // BLOCK)
+    r = count - (n_blocks - 1) * BLOCK  # inputs in the last block
+    rows = np.empty((-(-n_blocks // GROUP) * GROUP if chained else n_blocks, BLOCK + len(to_delay)))
+    rows[: n_blocks - 1, :BLOCK] = x[: count - r].reshape(n_blocks - 1, BLOCK)
+    rows[n_blocks - 1, :r] = x[count - r :]
+    rows[n_blocks - 1, r:BLOCK] = 0.0
+    rows[n_blocks:] = 0.0
     starts = rows[:, BLOCK:]
-    starts[0] = to_system.dot(np.asarray(zi, np.float64).reshape(-1))
-    # starts[i + 1] = starts[i] @ steps[0] + added[i], summed over doubling spans.
-    added = rows[:-1, :BLOCK] @ carry[:BLOCK]
-    added[:1] += starts[0] @ steps[0]
-    span = 1
-    for step in steps:
-        if span >= len(added):
-            break
-        added[span:] += added[:-span] @ step
-        span *= 2
-    starts[1:] = added
-    y = np.empty(rows.shape[0] * BLOCK)
-    np.matmul(rows, _output_matrix(h, observe), out=y.reshape(-1, BLOCK))
-    end = to_delay.dot(rows[-1].dot(_advance(r, carry, powers)))
-    return y[: len(x)], end.reshape(-1, 2)
-
-
-def _sos_carried(sos: np.ndarray, x: np.ndarray, zi: np.ndarray):
-    """The cascade over x in groups of ``GROUP`` blocks; returns (output, final state).
-
-    Inside a group each block's start state, in the system's basis, is the
-    one before @ the block advance. At a group's edge the state goes to the
-    (s0, s1) delay-pair basis and back, as it does between calls. Each
-    group's outputs are one (GROUP, L + S) @ (L + S, L) product, a short
-    last group padded with zero rows, so every group is the same GEMM and a
-    block always sits at the row its place in its group gives. A group's
-    outputs and end state then depend only on its inputs and its start
-    state, so a run cut on the group grid reproduces the uncut run bit for
-    bit. One GEMM over all blocks would not: under OpenBLAS's Haswell and
-    Nehalem kernels how a row rounds depends on the product's height and
-    on the row's place in it.
-    """
-    h, observe, carry, powers, _, to_system, to_delay = _block_operators(_key(sos))
-    n_blocks = -(-len(x) // BLOCK)
-    rows, r = _block_rows(x, len(to_delay), -(-n_blocks // GROUP) * GROUP)
-    advance = _advance(BLOCK, carry, powers)
-    z = np.asarray(zi, np.float64).reshape(-1)
-    for first in range(0, n_blocks, GROUP):
-        last = min(first + GROUP, n_blocks) - 1
-        np.dot(to_system, z, out=rows[first, BLOCK:])
-        for k in range(first, last):  # np.dot: half the call cost of @ at this size
-            np.dot(rows[k], advance, out=rows[k + 1, BLOCK:])
-        if last == n_blocks - 1 and r < BLOCK:  # the end state after the last block's r inputs
-            advance = _advance(r, carry, powers)
-        z = to_delay.dot(rows[last].dot(advance))
-    y = np.matmul(rows.reshape(-1, GROUP, rows.shape[1]), _output_matrix(h, observe))
-    return y.reshape(-1)[: len(x)], z.reshape(-1, 2)
+    np.dot(to_system, np.asarray(zi, np.float64).reshape(-1), out=starts[0])
+    if chained:
+        advance = _advance(BLOCK, carry, powers)
+        for k in range(1, n_blocks):  # np.dot: half the call cost of @ at this size
+            if k % GROUP:
+                np.dot(rows[k - 1], advance, out=starts[k])
+            else:  # a group edge: to the (s0, s1) pairs and back
+                np.dot(to_system, to_delay.dot(rows[k - 1].dot(advance)), out=starts[k])
+        y = np.matmul(rows.reshape(-1, GROUP, rows.shape[1]), _output_matrix(h, observe))
+    else:
+        # starts[i + 1] = starts[i] @ steps[0] + added[i], summed over doubling spans.
+        added = rows[:-1, :BLOCK] @ carry[:BLOCK]
+        added[:1] += starts[0] @ steps[0]
+        span = 1
+        for step in steps:
+            if span >= len(added):
+                break
+            added[span:] += added[:-span] @ step
+            span *= 2
+        starts[1:] = added
+        y = rows @ _output_matrix(h, observe)
+    end = to_delay.dot(rows[n_blocks - 1].dot(_advance(r, carry, powers)))
+    return y.reshape(-1)[:count], end.reshape(-1, 2)
 
 
 def _key(sos: np.ndarray) -> bytes:
@@ -230,13 +205,11 @@ def sos_filter(sos: np.ndarray, x: np.ndarray, zi: np.ndarray):
     """Run the biquad cascade over x; returns (output, final state).
 
     ``sos`` rows are (b0, b1, b2, a1, a2) with a0 = 1; ``zi`` has one
-    (s0, s1) delay pair per section (transposed direct-form II). Inputs
-    shorter than a group of ``GROUP`` blocks, or of whole groups up to
-    ``CARRY_SPAN`` samples, carry the state group by group; other lengths
-    run the scan. x may be a strided view. Inputs are not mutated.
+    (s0, s1) delay pair per section (transposed direct-form II). The
+    length of x picks the chain or the scan (module docstring). x may be a
+    strided view. Inputs are not mutated.
     """
     if not len(x):
         return np.empty(0), np.array(zi, dtype=np.float64)
-    if len(x) < GROUP * BLOCK or (len(x) <= CARRY_SPAN and not len(x) % (GROUP * BLOCK)):
-        return _sos_carried(sos, x, zi)
-    return _sos_scanned(sos, x, zi)
+    chained = len(x) < GROUP * BLOCK or (len(x) <= CARRY_SPAN and not len(x) % (GROUP * BLOCK))
+    return _sos_blocked(sos, x, zi, chained)

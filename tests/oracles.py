@@ -1,8 +1,10 @@
-"""Plain references the package is held to: the biquad recurrence, printf CSV, WAV bytes."""
+"""Plain references the package is held to: the biquad recurrence, the peak-hold envelope, printf CSV, WAV bytes."""
 
 import struct
 
 import numpy as np
+
+from ampenv.filtering import _step_state
 
 
 def recurrence(sos, x, zi, dtype=np.float64):
@@ -22,6 +24,26 @@ def recurrence(sos, x, zi, dtype=np.float64):
             y[i] = yi
         zf[k] = s0, s1
     return np.array(y, dtype=dtype), zf
+
+
+def peak_hold_envelope(sos, x, bunch, pad, dtype=np.float64):
+    """The zero-phase peak-hold envelope of x, each pass run by ``recurrence`` in ``dtype``.
+
+    Rectify, hold each ``bunch``-sample maximum, pad both ends with ``pad``
+    odd reflections, then filter forward and backward over the whole
+    array, each pass from the steady state of its first sample
+    (``_step_state``).
+    """
+    n = len(x)
+    staircase = np.repeat(np.maximum.reduceat(np.abs(x), np.arange(0, n, bunch)), bunch)[:n]
+    ext = np.concatenate((
+        2.0 * staircase[0] - staircase[pad:0:-1],
+        staircase,
+        2.0 * staircase[-1] - staircase[-2 : -pad - 2 : -1],
+    ))
+    fwd, _ = recurrence(sos, ext, _step_state(sos, ext[0]), dtype)
+    bwd, _ = recurrence(sos, fwd[::-1], _step_state(sos, float(fwd[-1])), dtype)
+    return bwd[::-1][pad : pad + n]
 
 
 has_extended_precision = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps

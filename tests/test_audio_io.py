@@ -577,6 +577,13 @@ class TestAudioFile:
         with pytest.raises(ValueError, match="signal length mismatch across channels"):
             AudioFile((Signal([0.0, 1.0], 44100.0), Signal([0.0], 44100.0)), 44100.0, "pcm16")
 
+    @pytest.mark.parametrize("rates", [(22050.0, 8000.0), (8000.0, 8000.0)], ids=["one-channel-off", "all-off"])
+    def test_channel_at_another_rate_rejected(self, rates):
+        # Else to_mono would label the mix 22,050 Hz, or a channel's own rate.
+        z = np.zeros(4)
+        with pytest.raises(ValueError, match="^inconsistent sample rate: channel at 8000 Hz, file at 22050 Hz$"):
+            AudioFile(tuple(Signal(z, rate) for rate in rates), 22050.0, "pcm16")
+
 
 class TestToMono:
     def read_stereo(self, tmp_path, left, right):

@@ -175,6 +175,13 @@ class TestCompareMethods:
         with pytest.raises(ValueError, match="length mismatch"):
             compare_methods(sig, Signal(np.zeros(10), sig.sample_rate), FIGURE_CONFIGS)
 
+    def test_truth_rate_mismatch(self):
+        # Same length, another rate: the truth is no ground truth for sig.
+        sig, truth = generate(SyntheticSpec(duration_s=0.3))
+        message = "^inconsistent sample rate: truth at 48000 Hz, signal at 44100 Hz$"
+        with pytest.raises(ValueError, match=message):
+            compare_methods(sig, Signal(truth.samples, 48000.0), FIGURE_CONFIGS)
+
     @pytest.mark.parametrize(
         "configs, labels",
         [

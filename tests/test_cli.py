@@ -94,16 +94,25 @@ class TestEnvelopeCommand:
             ("x.csv", ["--format", "wav"], ["x.wav"]),
             ("x.wav", ["--format", "csv"], ["x.csv"]),
             ("run.v2", ["--format", "both"], ["run.v2.csv", "run.v2.wav"]),
+            ("Out.WAV", [], ["Out.WAV"]),
+            ("x.Csv", [], ["x.Csv"]),
+            ("x.CSV", ["--format", "wav"], ["x.wav"]),
+            ("x.WAV", ["--format", "both"], ["x.csv", "x.WAV"]),
         ],
-        ids=["no-suffix", "csv-suffix-format-wav", "wav-suffix-format-csv", "dotted-both"],
+        ids=[
+            "no-suffix", "csv-suffix-format-wav", "wav-suffix-format-csv", "dotted-both",
+            "upper-wav-suffix", "mixed-csv-suffix", "upper-csv-suffix-format-wav", "upper-wav-suffix-both",
+        ],
     )
     def test_output_takes_its_format_suffix(self, capsys, tone_wav, tmp_path, output, extra, written):
+        # The -o suffix that names a format is kept as written: -o is the
+        # exact file written, also on a case-sensitive file system.
         code, stdout, _ = run(capsys, "envelope", str(tone_wav), "-o", str(tmp_path / output), *extra)
         assert code == 0
-        assert sorted(p.name for p in tmp_path.iterdir() if p != tone_wav) == written
+        assert sorted(p.name for p in tmp_path.iterdir() if p != tone_wav) == sorted(written)
         assert stdout.rstrip().endswith("wrote " + ", ".join(str(tmp_path / name) for name in written))
         for name in written:
-            if name.endswith(".csv"):
+            if name.lower().endswith(".csv"):
                 assert (tmp_path / name).read_text().startswith("time_s,signal,abs,staircase,envelope\n")
             else:
                 assert read_wav(tmp_path / name).n_samples == int(0.3 * 44100)
@@ -343,6 +352,21 @@ class TestSynthCommand:
         assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v2.wav", "run.v2_truth.wav"]
         assert stdout.rstrip().endswith("wrote %s, %s" % (tmp_path / "run.v2.wav", tmp_path / "run.v2_truth.wav"))
+
+    @pytest.mark.parametrize(
+        "output, extra, written",
+        [
+            ("Syn.WAV", [], ["Syn.WAV", "Syn_truth.wav"]),
+            ("Syn.CSV", [], ["Syn.CSV"]),
+            ("Syn.Csv", ["--format", "both"], ["Syn.wav", "Syn_truth.wav", "Syn.Csv"]),
+        ],
+        ids=["upper-wav", "upper-csv", "mixed-csv-both"],
+    )
+    def test_output_keeps_its_suffix_as_written(self, capsys, tmp_path, output, extra, written):
+        code, stdout, _ = run(capsys, "synth", "-o", str(tmp_path / output), "--duration", "0.1", *extra)
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
+        assert stdout.rstrip().endswith("wrote " + ", ".join(str(tmp_path / name) for name in written))
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from oracles import has_extended_precision, peak_hold_envelope
 from scipy import signal as sps
 
 from ampenv import (
     PRESETS,
     EnvelopeParams,
+    FilterSpec,
     Signal,
     SyntheticSpec,
     bunch_max,
+    butterworth_lowpass,
     envelope_follower,
     envelope_hilbert,
     envelope_rms,
+    filtering,
     generate,
     rectify,
     three_step_envelope,
@@ -98,6 +102,37 @@ class TestThreeStep:
         env = three_step_envelope(Signal(x, rate)).envelope.samples
         assert -0.066 < env.min() < -0.060
         assert env[:start].min() < -0.06 and env[start + length :].min() < -0.06
+
+    @pytest.mark.skipif(
+        not has_extended_precision,
+        reason="np.longdouble is float64 here, so there is no extended-precision reference",
+    )
+    @pytest.mark.parametrize(
+        "params",
+        [*PRESETS.values(), EnvelopeParams(200, 20.0)],  # with whale's (50, 300 Hz), file_long's settings
+        ids=[*PRESETS, "bunch200-20Hz"],
+    )
+    def test_deviation_within_the_recurrence(self, params, monkeypatch):
+        # Pieces of 4,096 samples, so the envelope crosses piece carries and
+        # runs both the chained and the scanned kernel; the bar is that of
+        # test_blocked_deviation_within_the_recurrence.
+        monkeypatch.setattr(filtering, "_PIECE", 4096)
+        rate = 44100.0
+        t = np.arange(30000) / rate
+        noise = np.random.default_rng(71).standard_normal(len(t))
+        x = (0.5 + 0.4 * np.sin(2.0 * np.pi * 3.0 * t)) * np.sin(2.0 * np.pi * 440.0 * t) + 0.05 * noise
+        x = np.clip(np.round(x * 32768.0), -32768, 32767) / 32768.0  # pcm16 values
+        design = butterworth_lowpass(FilterSpec(params.cutoff_hz, rate, params.filter_order))
+        pad = filtering.default_pad_len(design)
+        reference = peak_hold_envelope(design.sections, x, params.bunch_size, pad, np.longdouble)
+        scale = np.max(np.abs(reference))
+
+        def deviation(y):
+            return float(np.max(np.abs(y - reference)) / scale)
+
+        blocked = deviation(three_step_envelope(Signal(x, rate), params).envelope.samples)
+        sequential = deviation(peak_hold_envelope(design.sections, x, params.bunch_size, pad))
+        assert blocked <= sequential
 
     def test_cutoff_above_nyquist_propagates(self):
         sig = sine(duration=0.1)

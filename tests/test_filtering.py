@@ -48,9 +48,9 @@ def scanned_zero_phase(design, x):
     pad = default_pad_len(design)
     sos = design.sections
     ext = np.concatenate((2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2 : -pad - 2 : -1]))
-    fwd, _ = kernels._sos_scanned(sos, ext, _step_state(sos, ext[0]))
+    fwd, _ = kernels._sos_blocked(sos, ext, _step_state(sos, ext[0]), False)
     rev = fwd[::-1]
-    bwd, _ = kernels._sos_scanned(sos, rev, _step_state(sos, rev[0]))
+    bwd, _ = kernels._sos_blocked(sos, rev, _step_state(sos, rev[0]), False)
     return bwd[::-1][pad:-pad]
 
 

@@ -42,8 +42,8 @@ def test_block_lengths_agree_with_the_recurrence(n, rng):
     x = rng.standard_normal(n)
     zi = _step_state(sos, 0.3)
     expected, expected_zf = recurrence(sos, x, zi)
-    for blocked in (kernels._sos_carried, kernels._sos_scanned):
-        got, zf = blocked(sos, x, zi)
+    for chained in (True, False):
+        got, zf = kernels._sos_blocked(sos, x, zi, chained)
         assert got.shape == (n,)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.max(np.abs(zf - expected_zf)) <= 1e-12 * np.max(np.abs(expected_zf))
@@ -62,19 +62,19 @@ def test_carried_runs_cut_on_the_group_grid_reproduce_the_uncut_run(rng):
 
 
 @pytest.mark.parametrize(
-    "n, carried",
+    "n, chained",
     [(1, True), (BLOCK - 1, True), (BLOCK, True), (BLOCK + 1, True), (GROUP * BLOCK - 1, True),
      (GROUP * BLOCK, True), (5 * GROUP * BLOCK, True), (CARRY_SPAN, True),
      (GROUP * BLOCK + 1, False), (5 * BLOCK, False), (4464, False),
      (CARRY_SPAN + BLOCK, False), (CARRY_SPAN + GROUP * BLOCK, False)],
 )
-def test_block_aligned_spans_and_short_remainders_carry(n, carried, rng):
+def test_block_aligned_spans_and_short_remainders_carry(n, chained, rng):
     # filter_causal feeds whole groups of blocks up to CARRY_SPAN and
     # remainders shorter than a group; every other length takes the scan.
     sos = sections(150.0)
     x = rng.standard_normal(n)
     zi = rng.standard_normal((2, 2))
-    expected = (kernels._sos_carried if carried else kernels._sos_scanned)(sos, x, zi)
+    expected = kernels._sos_blocked(sos, x, zi, chained)
     for got, want in zip(kernels.sos_filter(sos, x, zi), expected):
         np.testing.assert_array_equal(got, want)
 
@@ -115,14 +115,17 @@ def test_inputs_not_mutated(rng):
 
 
 def test_reversed_view_matches_copy(rng):
+    # A backward and a forward stride, each n samples: n = 4 * BLOCK is
+    # chained, n = 4 * BLOCK + 3 scanned.
     sos = sections(20.0)
     for n in (4 * BLOCK, 4 * BLOCK + 3):
-        x = rng.standard_normal(n)
-        zi = _step_state(sos, x[-1])
-        view, view_zf = kernels.sos_filter(sos, x[::-1], zi)
-        copy, copy_zf = kernels.sos_filter(sos, x[::-1].copy(), zi)
-        np.testing.assert_array_equal(view, copy)
-        np.testing.assert_array_equal(view_zf, copy_zf)
+        x = rng.standard_normal(2 * n)
+        for view in (x[:n][::-1], x[::2]):
+            zi = _step_state(sos, view[0])
+            got, got_zf = kernels.sos_filter(sos, view, zi)
+            copy, copy_zf = kernels.sos_filter(sos, view.copy(), zi)
+            np.testing.assert_array_equal(got, copy)
+            np.testing.assert_array_equal(got_zf, copy_zf)
 
 
 def test_empty_input_keeps_the_state():
