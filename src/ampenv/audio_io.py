@@ -628,9 +628,9 @@ def write_csv(path, signals) -> None:
     ``signals`` maps column names to Signals (dict or (name, Signal) pairs);
     all must share length and sample rate, and no name may hold a comma, a
     newline or a carriage return. The header is
-    ``time_s,<name1>,<name2>,...``, and each row holds the sample's time in
-    seconds (index / rate) and its values. Every number is written exactly
-    as printf's ``%.9g`` writes it. Rows are encoded in blocks of
+    ``time_s,<name1>,<name2>,...`` in UTF-8, and each row holds the sample's
+    time in seconds (index / rate) and its values. Every number is written
+    exactly as printf's ``%.9g`` writes it. Rows are encoded in blocks of
     ``_CSV_BLOCK``, so memory stays bounded: values are formatted with
     NumPy, and the few that are not (|v| < 1e-14 or >= 1e9 after rounding
     to 9 digits, and the ties ``_mantissa`` cannot settle) are handed to
@@ -661,17 +661,17 @@ def write_csv(path, signals) -> None:
             raise ValueError("signal length mismatch: %r has %d samples, expected %d" % (name, len(sig), n))
         if sig.sample_rate != rate:
             raise ValueError("inconsistent sample rate: %r at %g Hz, expected %g Hz" % (name, sig.sample_rate, rate))
+    header = ("time_s," + ",".join(names) + "\n").encode("utf-8")
     encoder = _CsvEncoder(min(n, _CSV_BLOCK), len(sigs) + 1)
-    with open(path, "w", newline="") as f:
-        f.write("time_s," + ",".join(names) + "\n")
-        f.flush()  # the rows go to the byte stream under the text layer
+    with open(path, "wb") as f:
+        f.write(header)
         for start in range(0, n, _CSV_BLOCK):
             stop = min(start + _CSV_BLOCK, n)
             block = encoder.block[:, : stop - start]
             np.divide(np.arange(start, stop), rate, out=block[0])
             for column, sig in zip(block[1:], sigs):
                 column[:] = sig.samples[start:stop]
-            f.buffer.write(encoder.encode(block))
+            f.write(encoder.encode(block))
 
 
 def to_mono(audio: AudioFile, mode="mean") -> Signal:

@@ -221,6 +221,8 @@ def compare_methods(
     for method, _ in configs:
         if method not in ESTIMATORS:
             raise ValueError("unknown method: %r" % (method,))
+    if truth is None and all(method != "three_step" for method, _ in configs):
+        raise ValueError("no reference available: supply truth or a three_step config")
 
     runs = []
     for method, config in configs:
@@ -234,9 +236,7 @@ def compare_methods(
         ref = truth.samples
     else:
         reference = "three_step"
-        ref = next((est for m, _, est, _ in runs if m == "three_step"), None)
-        if ref is None:
-            raise ValueError("no reference available: supply truth or a three_step config")
+        ref = next(est for m, _, est, _ in runs if m == "three_step")
 
     n = len(s)
     lo, hi = n // 10, n - n // 10

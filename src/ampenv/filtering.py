@@ -9,53 +9,14 @@ data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import kernels
 from .filter_design import FilterDesign
+from .kernels import FilterState
 from .signals import BunchSpec, Signal, _rectified_peaks, bunch_max, rectify
-
-
-@dataclass(frozen=True, eq=False)
-class FilterState:
-    """Delay-line values of the cascade, one (s0, s1) pair per section.
-
-    ``values`` is the state at the current sample. A state returned by
-    ``filter_causal`` also carries, privately, the inputs of the open group
-    of blocks the stream is in and the state at that group's start, so the
-    next call continues on the same grid, with the design that produced it.
-    ``FilterState(values)`` starts a new grid at that sample; it is also the
-    way to hand the delay line to another design.
-    """
-
-    values: np.ndarray
-    _start: np.ndarray = field(init=False, repr=False)
-    _open: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("state must have shape (n_sections, 2)")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_start", arr)
-        object.__setattr__(self, "_open", np.empty(0))
-
-    @classmethod
-    def zeros(cls, design: FilterDesign) -> "FilterState":
-        return cls(np.zeros((design.n_sections, 2)))
-
-    @classmethod
-    def _mid_group(cls, values, start: np.ndarray, inputs: np.ndarray) -> "FilterState":
-        # Internal constructor: the state ``values`` after ``inputs`` of a
-        # group of blocks that began in state ``start``.
-        state = cls(values)
-        object.__setattr__(state, "_start", start)
-        object.__setattr__(state, "_open", inputs)
-        return state
 
 
 def _check_rate(design: FilterDesign, s: Signal) -> None:
@@ -74,10 +35,10 @@ def filter_causal(
     ``s`` must have the design's sample rate. Feeding the returned state
     into the next call continues seamlessly: filtering two chunks with
     carried state reproduces, bit for bit, the output and final state of
-    filtering their concatenation with a fresh state. The kernel runs in
-    groups of ``kernels.GROUP`` blocks (512 samples) laid on the stream's
-    own sample grid; the open group of blocks at a chunk's end is run again
-    from its start state by the next call.
+    filtering their concatenation with a fresh state. A call is one
+    ``kernels.sos_filter`` call with the state, so it runs the chain on the
+    stream's own grid of blocks (``FilterState`` says when a state starts a
+    new grid).
     """
     _check_rate(design, s)
     if state is None:
@@ -87,20 +48,8 @@ def filter_causal(
             "state dimension mismatch: state has %d sections, design has %d"
             % (state.values.shape[0], design.n_sections)
         )
-    # Groups of blocks sit on the stream's sample grid: the open group's
-    # inputs are run again from its start state, and their outputs dropped.
-    x = np.concatenate((state._open, s.samples))
-    full = len(x) - len(x) % (kernels.GROUP * kernels.BLOCK)  # samples in whole groups
-    y = np.empty(len(x))
-    z = state._start
-    for i in range(0, full, kernels.CARRY_SPAN):
-        j = min(i + kernels.CARRY_SPAN, full)
-        y[i:j], z = kernels.sos_filter(design.sections, x[i:j], z)
-    group_start = z
-    if full < len(x):
-        y[full:], z = kernels.sos_filter(design.sections, x[full:], z)
-    final = FilterState._mid_group(z, group_start, x[full:].copy())
-    return Signal._wrap(y[len(state._open) :], s.sample_rate), final
+    y, state = kernels.sos_filter(design.sections, s.samples, state)
+    return Signal._wrap(y, s.sample_rate), state
 
 
 def _step_state(sections: np.ndarray, level: float) -> np.ndarray:

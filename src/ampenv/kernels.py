@@ -15,45 +15,40 @@ then room for the block's start state in the system's basis. It fills
 those states from ``zi`` in one of two ways, below; every block's output
 is then its row @ one (L + S, L) matrix, and the end state is the last
 row @ the advance over that block's inputs, taken back to the (s0, s1)
-delay-pair basis that callers pass in ``zi``. Which way, by the input's
-length:
+delay-pair basis that callers pass in ``zi``. The state the caller passes
+picks the way: a ``FilterState`` gets the chain, delay pairs get the scan.
 
-- The chain, for the spans ``filter_causal`` feeds: whole groups of
-  ``GROUP`` blocks up to ``CARRY_SPAN`` samples, and remainders shorter
-  than one group. Each start state is the one before @ the block
-  advance, one Python step a block; at each group edge the state goes to
-  the (s0, s1) basis and back, as it does between calls. The outputs are
+- The chain, for streams. Each start state is the one before @ the block
+  advance, one Python step a block; at each edge of a group of ``GROUP``
+  blocks the state goes to the (s0, s1) basis and back. The outputs are
   one (GROUP, L + S) product per group, a short last group padded with
   zero rows, so a block always sits at the row its place in its group
   gives. A group's outputs and end state then depend only on its inputs
-  and its start state, never on where a call starts, so ``filter_causal``,
-  which lays the groups on the stream's own sample grid, and streaming
-  reproduce an uncut run bit for bit. One product over all the blocks
-  would not: under OpenBLAS's Haswell and Nehalem kernels how a row of a
-  GEMM rounds depends on the product's height and on the row's place in
-  it.
-- The scan, for every other length: the start states are summed by
+  and its start state, never on where a call starts. The groups are laid
+  on the stream's own sample grid: a returned ``FilterState`` keeps the
+  open group's start state and inputs, and the next call runs them again,
+  so a stream cut anywhere reproduces the uncut run bit for bit. One
+  product over all the blocks would not: under OpenBLAS's Haswell and
+  Nehalem kernels how a row of a GEMM rounds depends on the product's
+  height and on the row's place in it.
+- The scan, for the offline passes. The start states are summed by
   doubling (a Hillis-Steele scan), with no Python step per block, and the
   outputs are one flat product over all rows. On 2^17-sample pieces that
   is ~2x faster than the chain, but a block's rounding then depends on
   where it sits in the input. The product stays flat: the chain's grouped
-  one is over 2x slower under OpenBLAS's Haswell kernels. The zero-phase
-  driver behind ``filtfilt_zero_phase`` and the peak-hold envelope feeds
-  each pass in pieces of 2^17 samples, the first and last with their
-  pads, or a shorter input as one padded array. These take the scan
-  unless their length is a chained one: a last piece shorter than a
-  group, or a padded input of whole groups up to ``CARRY_SPAN``.
+  one is over 2x slower under OpenBLAS's Haswell kernels.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 BLOCK = 128  # samples per block, a power of two: A^BLOCK is a repeated square
 GROUP = 4  # blocks per group of the chain: one output GEMM of this many rows
-CARRY_SPAN = 64 * BLOCK  # the longest group-aligned span filter_causal feeds
+_SPAN = 1 << 15  # samples per chained pass: caps its rows; any multiple of GROUP * BLOCK gives the same bits
 _SCAN_STEPS = 48  # block-transition powers kept: the scan covers 2^48 blocks
 
 
@@ -161,7 +156,13 @@ def _advance(r: int, carry: np.ndarray, powers: np.ndarray) -> np.ndarray:
 
 
 def _sos_blocked(sos: np.ndarray, x: np.ndarray, zi: np.ndarray, chained: bool):
-    """The cascade over x, block-start states chained or scanned; returns (output, final state)."""
+    """The cascade over x, block-start states chained or scanned.
+
+    Returns (output, final state, group edge), the states as delay pairs.
+    The group edge is, for the chain, the state at the last group edge it
+    crosses: at x's start if it crosses none, at x's end if x is whole
+    groups.
+    """
     h, observe, carry, powers, steps, to_system, to_delay = _block_operators(_key(sos))
     count = len(x)
     n_blocks = -(-count // BLOCK)
@@ -173,13 +174,15 @@ def _sos_blocked(sos: np.ndarray, x: np.ndarray, zi: np.ndarray, chained: bool):
     rows[n_blocks:] = 0.0
     starts = rows[:, BLOCK:]
     np.dot(to_system, np.asarray(zi, np.float64).reshape(-1), out=starts[0])
+    edge = zi
     if chained:
         advance = _advance(BLOCK, carry, powers)
         for k in range(1, n_blocks):  # np.dot: half the call cost of @ at this size
             if k % GROUP:
                 np.dot(rows[k - 1], advance, out=starts[k])
             else:  # a group edge: to the (s0, s1) pairs and back
-                np.dot(to_system, to_delay.dot(rows[k - 1].dot(advance)), out=starts[k])
+                edge = to_delay.dot(rows[k - 1].dot(advance))
+                np.dot(to_system, edge, out=starts[k])
         y = np.matmul(rows.reshape(-1, GROUP, rows.shape[1]), _output_matrix(h, observe))
     else:
         # starts[i + 1] = starts[i] @ steps[0] + added[i], summed over doubling spans.
@@ -194,22 +197,67 @@ def _sos_blocked(sos: np.ndarray, x: np.ndarray, zi: np.ndarray, chained: bool):
         starts[1:] = added
         y = rows @ _output_matrix(h, observe)
     end = to_delay.dot(rows[n_blocks - 1].dot(_advance(r, carry, powers)))
-    return y.reshape(-1)[:count], end.reshape(-1, 2)
+    if not count % (GROUP * BLOCK):
+        edge = end
+    return y.reshape(-1)[:count], end.reshape(-1, 2), np.reshape(edge, (-1, 2))
 
 
 def _key(sos: np.ndarray) -> bytes:
     return np.ascontiguousarray(sos, dtype=np.float64).tobytes()
 
 
-def sos_filter(sos: np.ndarray, x: np.ndarray, zi: np.ndarray):
+@dataclass(frozen=True, eq=False)
+class FilterState:
+    """Delay-line values of the cascade, one (s0, s1) pair per section.
+
+    ``values`` is the state at the current sample. A state that
+    ``sos_filter`` returns also keeps, privately, the open group of blocks
+    the stream is in: the sections that ran it, the state at the group's
+    start and the group's inputs so far. Passed back with the same sections
+    (the same design, or an equal one rebuilt from the same spec) it
+    continues on that grid, bit for bit. Built as ``FilterState(values)``,
+    or passed with other sections, it starts a new grid at ``values``: a
+    state handed to another design continues exactly as
+    ``FilterState(state.values)`` would.
+    """
+
+    values: np.ndarray
+    _group: tuple | None = field(default=None, init=False, repr=False)  # (sections key, start, inputs)
+
+    def __post_init__(self):
+        arr = np.array(self.values, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError("state must have shape (n_sections, 2)")
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def zeros(cls, design) -> FilterState:
+        return cls(np.zeros((design.n_sections, 2)))
+
+
+def sos_filter(sos: np.ndarray, x: np.ndarray, zi):
     """Run the biquad cascade over x; returns (output, final state).
 
-    ``sos`` rows are (b0, b1, b2, a1, a2) with a0 = 1; ``zi`` has one
-    (s0, s1) delay pair per section (transposed direct-form II). The
-    length of x picks the chain or the scan (module docstring). x may be a
+    ``sos`` rows are (b0, b1, b2, a1, a2) with a0 = 1. ``zi`` is one
+    (s0, s1) delay pair per section (transposed direct-form II), which
+    takes the scan and gives the final delay pairs, or a ``FilterState``,
+    which takes the chain over the state's open group and x and gives the
+    next ``FilterState`` (module docstring). The chain runs in spans of
+    ``_SPAN`` samples, which bound its rows, not its bits. x may be a
     strided view. Inputs are not mutated.
     """
-    if not len(x):
-        return np.empty(0), np.array(zi, dtype=np.float64)
-    chained = len(x) < GROUP * BLOCK or (len(x) <= CARRY_SPAN and not len(x) % (GROUP * BLOCK))
-    return _sos_blocked(sos, x, zi, chained)
+    if not isinstance(zi, FilterState):
+        if not len(x):
+            return np.empty(0), np.array(zi, dtype=np.float64)
+        return _sos_blocked(sos, x, zi, False)[:2]
+    key = _key(sos)
+    z, inputs = zi._group[1:] if zi._group and zi._group[0] == key else (zi.values, np.empty(0))
+    x = np.concatenate((inputs, x))
+    y = np.empty(len(x))
+    edge = z
+    for i in range(0, len(x), _SPAN):
+        y[i : i + _SPAN], z, edge = _sos_blocked(sos, x[i : i + _SPAN], z, True)
+    state = FilterState(z)
+    object.__setattr__(state, "_group", (key, edge, x[len(x) - len(x) % (GROUP * BLOCK) :].copy()))
+    return y[len(inputs) :], state

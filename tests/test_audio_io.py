@@ -1,4 +1,7 @@
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import uuid
 import warnings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import decode_frames, wav_bytes
 
+import ampenv
 from ampenv import Signal, SyntheticSpec, WavFormatError, read_wav, three_step_stages, to_mono, write_csv, write_wav
 from ampenv.bench import generate
 from ampenv.audio_io import _WAV_BLOCK, AudioFile
@@ -559,6 +563,19 @@ class TestWriteCsv:
                 tmp_path / "bad.csv",
                 {"a": Signal([1.0], 10.0), "b": Signal([1.0], 20.0)},
             )
+
+    def test_header_is_utf8_under_the_c_locale(self, tmp_path):
+        # Without UTF-8 mode the C locale's text encoding is ASCII; the
+        # header's bytes must not depend on it.
+        path = tmp_path / "named.csv"
+        env = dict(os.environ, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C")
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ampenv.__file__))
+        script = (
+            "import sys; from ampenv import Signal, write_csv; "
+            "write_csv(sys.argv[1], {'se\\u00f1al': Signal([0.5], 2.0)})"
+        )
+        subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
+        assert path.read_bytes() == "time_s,se\u00f1al\n0,0.5\n".encode("utf-8")
 
     @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
     def test_name_that_would_break_the_header_rejected(self, tmp_path, name):

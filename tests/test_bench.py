@@ -5,6 +5,7 @@ from ampenv import (
     EnvelopeParams,
     Signal,
     SyntheticSpec,
+    bench,
     compare_methods,
     generate,
     measure_runtime_ms,
@@ -147,10 +148,19 @@ class TestCompareMethods:
         assert report.reference == "three_step"
         assert report.rows[0].rmse_rel == 0.0  # three_step against itself
 
-    def test_without_truth_requires_three_step(self):
+    def test_without_truth_requires_three_step(self, monkeypatch):
+        # Checked before any method runs: a long recording would otherwise
+        # pay for every timed run of every method first.
+        calls = []
+
+        def counted(fn):
+            return lambda *a: calls.append(1) or fn(*a)
+
+        monkeypatch.setattr(bench, "ESTIMATORS", {m: counted(fn) for m, fn in bench.ESTIMATORS.items()})
         sig, _ = generate(SyntheticSpec(duration_s=0.3))
-        with pytest.raises(ValueError, match="no reference available"):
-            compare_methods(sig, None, [("rms", {"window_samples": 50})])
+        with pytest.raises(ValueError, match="^no reference available: supply truth or a three_step config$"):
+            compare_methods(sig, None, [("rms", {"window_samples": 50}), ("hilbert", {})])
+        assert calls == []
 
     def test_no_methods_configured(self):
         sig, _ = generate(SyntheticSpec(duration_s=0.3))

@@ -10,7 +10,6 @@ from ampenv import (
     filter_causal,
     filtfilt_zero_phase,
     frequency_response,
-    kernels,
 )
 
 
@@ -174,7 +173,7 @@ class TestValidation:
         # Rounding a1 and a2 zeroes 1 + a1 + a2 (an infinite DC gain) or a
         # pair's imaginary part; either is a one-line ValueError, never a
         # warning or a garbage filter. The last two cutoffs are realisable.
-        x = Signal(np.abs(np.random.default_rng(order).standard_normal(kernels.CARRY_SPAN + 300)), rate)
+        x = Signal(np.abs(np.random.default_rng(order).standard_normal(8192 + 300)), rate)
         nyquist = rate / 2.0
         cutoffs = [1e-7, 1e-6, 1e-5, 1e-4, 2e-4]
         cutoffs += [nyquist - d for d in (1e-4, 5e-5, 1e-5, 1e-6)]

@@ -48,9 +48,9 @@ def scanned_zero_phase(design, x):
     pad = default_pad_len(design)
     sos = design.sections
     ext = np.concatenate((2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2 : -pad - 2 : -1]))
-    fwd, _ = kernels._sos_blocked(sos, ext, _step_state(sos, ext[0]), False)
+    fwd = kernels._sos_blocked(sos, ext, _step_state(sos, ext[0]), False)[0]
     rev = fwd[::-1]
-    bwd, _ = kernels._sos_blocked(sos, rev, _step_state(sos, rev[0]), False)
+    bwd = kernels._sos_blocked(sos, rev, _step_state(sos, rev[0]), False)[0]
     return bwd[::-1][pad:-pad]
 
 
@@ -87,10 +87,10 @@ class TestFilterCausal:
         np.testing.assert_allclose(stitched, whole.samples, rtol=1e-12, atol=0.0)
 
     def test_split_equals_whole_bitwise(self, rng):
-        # Cuts inside a block, on a block edge and on both sides of the
-        # kernel's span edge, from a random state.
+        # Cuts inside a block, on a block edge and on both sides of a group
+        # edge, from a random state.
         design = make_design()
-        block, span = kernels.BLOCK, kernels.CARRY_SPAN
+        block, span = kernels.BLOCK, 8192
         x = rng.standard_normal(2 * span + 3 * block + 17)
         start = FilterState(rng.standard_normal((2, 2)))
         whole, whole_state = filter_causal(design, Signal(x, 44100.0), start)
@@ -99,11 +99,56 @@ class TestFilterCausal:
         np.testing.assert_array_equal(parts, whole.samples)
         np.testing.assert_array_equal(state.values, whole_state.values)
 
+    def test_split_equals_whole_bitwise_across_span_edges(self, rng):
+        # Longer than two of the kernel's spans, cut on both sides of each
+        # span edge; the chunk from span + 9 with its open group is one
+        # call of span + 1 samples, which crosses a span edge of its own.
+        design = make_design(cutoff=20.0)
+        span = kernels._SPAN
+        x = rng.standard_normal(2 * span + 5000)
+        start = FilterState(rng.standard_normal((2, 2)))
+        whole, whole_state = filter_causal(design, Signal(x, 44100.0), start)
+        cuts = [700, span - 3, span + 9, 2 * span + 1]
+        parts, state = filter_in_parts(design, Signal(x, 44100.0), start, cuts)
+        np.testing.assert_array_equal(parts, whole.samples)
+        np.testing.assert_array_equal(state.values, whole_state.values)
+
+    def test_one_kernel_call_per_chunk(self, rng, monkeypatch):
+        # The open group and the chunk go to the kernel together, whole
+        # groups and remainder alike.
+        design = make_design()
+        calls = []
+        sos_filter = kernels.sos_filter
+        monkeypatch.setattr(kernels, "sos_filter", lambda *a: calls.append(len(a[1])) or sos_filter(*a))
+        state = None
+        sizes = [300, 1000, 512, 4096 + 17, 8192 + 600, 1 << 15, (1 << 15) + 1]
+        for n in sizes:
+            _, state = filter_causal(design, Signal(rng.standard_normal(n), 44100.0), state)
+        assert calls == sizes
+
+    def test_a_state_keeps_its_grid_only_with_the_same_sections(self, rng):
+        # Left mid-group at 700 samples by a 150 Hz design, a state goes on
+        # through a 1 kHz design of as many sections exactly as its values
+        # alone would, and through an equal design rebuilt from the same
+        # spec bit for bit as the uncut run.
+        design, rebuilt, other = make_design(), make_design(), make_design(cutoff=1000.0)
+        assert rebuilt is not design
+        x = rng.standard_normal(1000)
+        head, state = filter_causal(design, Signal(x[:700], 44100.0))
+        handed, handed_state = filter_causal(other, Signal(x[700:], 44100.0), state)
+        fresh, fresh_state = filter_causal(other, Signal(x[700:], 44100.0), FilterState(state.values))
+        np.testing.assert_array_equal(handed.samples, fresh.samples)
+        np.testing.assert_array_equal(handed_state.values, fresh_state.values)
+        whole, whole_state = filter_causal(design, Signal(x, 44100.0))
+        tail, tail_state = filter_causal(rebuilt, Signal(x[700:], 44100.0), state)
+        np.testing.assert_array_equal(np.concatenate((head.samples, tail.samples)), whole.samples)
+        np.testing.assert_array_equal(tail_state.values, whole_state.values)
+
     @settings(max_examples=40, deadline=None)
     @given(
         order=st.integers(1, 8),
         cutoff_frac=st.floats(0.0, 1.0),
-        n=st.integers(1, 3 * kernels.CARRY_SPAN),
+        n=st.integers(1, 3 * 8192),
         cut_fracs=st.lists(st.floats(0.0, 1.0), max_size=6),
         seed=st.integers(0, 2**32 - 1),
     )

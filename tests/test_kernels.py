@@ -4,7 +4,7 @@ from oracles import has_extended_precision, recurrence
 
 from ampenv import FilterSpec, butterworth_lowpass, kernels
 from ampenv.filtering import _step_state
-from ampenv.kernels import BLOCK, CARRY_SPAN, GROUP
+from ampenv.kernels import BLOCK, GROUP, FilterState
 
 
 def sections(cutoff_hz):
@@ -43,7 +43,7 @@ def test_block_lengths_agree_with_the_recurrence(n, rng):
     zi = _step_state(sos, 0.3)
     expected, expected_zf = recurrence(sos, x, zi)
     for chained in (True, False):
-        got, zf = kernels._sos_blocked(sos, x, zi, chained)
+        got, zf, _ = kernels._sos_blocked(sos, x, zi, chained)
         assert got.shape == (n,)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.max(np.abs(zf - expected_zf)) <= 1e-12 * np.max(np.abs(expected_zf))
@@ -51,32 +51,31 @@ def test_block_lengths_agree_with_the_recurrence(n, rng):
 
 def test_carried_runs_cut_on_the_group_grid_reproduce_the_uncut_run(rng):
     sos = sections(20.0)
-    x = rng.standard_normal(CARRY_SPAN)
-    zi = rng.standard_normal((2, 2))
+    x = rng.standard_normal(8192)
+    zi = FilterState(rng.standard_normal((2, 2)))
     whole, whole_zf = kernels.sos_filter(sos, x, zi)
-    for cut in (GROUP * BLOCK, 7 * GROUP * BLOCK, CARRY_SPAN - GROUP * BLOCK):
+    for cut in (GROUP * BLOCK, 7 * GROUP * BLOCK, 8192 - GROUP * BLOCK):
         head, zf = kernels.sos_filter(sos, x[:cut], zi)
         tail, zf = kernels.sos_filter(sos, x[cut:], zf)
         np.testing.assert_array_equal(np.concatenate((head, tail)), whole)
-        np.testing.assert_array_equal(zf, whole_zf)
+        np.testing.assert_array_equal(zf.values, whole_zf.values)
 
 
+@pytest.mark.parametrize("as_state", [True, False])
 @pytest.mark.parametrize(
-    "n, chained",
-    [(1, True), (BLOCK - 1, True), (BLOCK, True), (BLOCK + 1, True), (GROUP * BLOCK - 1, True),
-     (GROUP * BLOCK, True), (5 * GROUP * BLOCK, True), (CARRY_SPAN, True),
-     (GROUP * BLOCK + 1, False), (5 * BLOCK, False), (4464, False),
-     (CARRY_SPAN + BLOCK, False), (CARRY_SPAN + GROUP * BLOCK, False)],
+    "n", [1, BLOCK - 1, BLOCK, BLOCK + 1, GROUP * BLOCK - 1, GROUP * BLOCK, 5 * GROUP * BLOCK, 8192,
+          GROUP * BLOCK + 1, 5 * BLOCK, 4464, 8192 + BLOCK, 8192 + GROUP * BLOCK],
 )
-def test_block_aligned_spans_and_short_remainders_carry(n, chained, rng):
-    # filter_causal feeds whole groups of blocks up to CARRY_SPAN and
-    # remainders shorter than a group; every other length takes the scan.
+def test_block_aligned_spans_and_short_remainders_carry(n, as_state, rng):
+    # A FilterState takes the chain and delay pairs take the scan, at any
+    # length; the state comes back in the form it went in.
     sos = sections(150.0)
     x = rng.standard_normal(n)
     zi = rng.standard_normal((2, 2))
-    expected = kernels._sos_blocked(sos, x, zi, chained)
-    for got, want in zip(kernels.sos_filter(sos, x, zi), expected):
-        np.testing.assert_array_equal(got, want)
+    want, want_zf, _ = kernels._sos_blocked(sos, x, zi, as_state)
+    got, got_zf = kernels.sos_filter(sos, x, FilterState(zi) if as_state else zi)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_zf.values if as_state else got_zf, want_zf)
 
 
 @pytest.mark.parametrize("cutoff_hz", [5.0, 150.0])
@@ -87,12 +86,26 @@ def test_a_group_gives_the_same_bits_alone_and_among_others(cutoff_hz, rng):
     sos = sections(cutoff_hz)
     span = GROUP * BLOCK
     x = rng.standard_normal(16 * span)
-    zi = rng.standard_normal((2, 2))
+    zi = FilterState(rng.standard_normal((2, 2)))
     whole, _ = kernels.sos_filter(sos, x, zi)
     _, start = kernels.sos_filter(sos, x[: 2 * span], zi)
     for n in (span, 2 * BLOCK + 37, 50):
         alone, _ = kernels.sos_filter(sos, x[2 * span : 2 * span + n], start)
         np.testing.assert_array_equal(alone, whole[2 * span : 2 * span + n])
+
+
+def test_the_span_bound_leaves_the_bits(rng, monkeypatch):
+    # The chain runs in spans of kernels._SPAN samples; any whole number of
+    # groups gives the same outputs and state.
+    sos = sections(150.0)
+    x = rng.standard_normal(5 * GROUP * BLOCK + 77)
+    zi = FilterState(rng.standard_normal((2, 2)))
+    whole, whole_zf = kernels.sos_filter(sos, x, zi)
+    for span in (GROUP * BLOCK, 3 * GROUP * BLOCK):
+        monkeypatch.setattr(kernels, "_SPAN", span)
+        got, zf = kernels.sos_filter(sos, x, zi)
+        np.testing.assert_array_equal(got, whole)
+        np.testing.assert_array_equal(zf.values, whole_zf.values)
 
 
 def test_zero_input_and_state_give_exact_zero():
@@ -105,18 +118,24 @@ def test_zero_input_and_state_give_exact_zero():
 
 def test_inputs_not_mutated(rng):
     sos = sections(150.0)
-    for n in (4 * BLOCK, CARRY_SPAN + 4 * BLOCK):
+    for n in (4 * BLOCK, 8192 + 4 * BLOCK):
         x = rng.standard_normal(n)
         zi = _step_state(sos, x[0])
         x_before, zi_before = x.copy(), zi.copy()
         kernels.sos_filter(sos, x, zi)
+        _, state = kernels.sos_filter(sos, x[:-5], FilterState(zi))
+        group_before = [np.copy(part) for part in state._group[1:]]
+        kernels.sos_filter(sos, x, state)
         np.testing.assert_array_equal(x, x_before)
         np.testing.assert_array_equal(zi, zi_before)
+        for part, before in zip(state._group[1:], group_before):
+            np.testing.assert_array_equal(part, before)
 
 
 def test_reversed_view_matches_copy(rng):
-    # A backward and a forward stride, each n samples: n = 4 * BLOCK is
-    # chained, n = 4 * BLOCK + 3 scanned.
+    # A backward and a forward stride, each n samples: n = 4 * BLOCK ends on
+    # a group edge, n = 4 * BLOCK + 3 inside a group; delay pairs take the
+    # scan and a FilterState the chain.
     sos = sections(20.0)
     for n in (4 * BLOCK, 4 * BLOCK + 3):
         x = rng.standard_normal(2 * n)
@@ -126,6 +145,10 @@ def test_reversed_view_matches_copy(rng):
             copy, copy_zf = kernels.sos_filter(sos, view.copy(), zi)
             np.testing.assert_array_equal(got, copy)
             np.testing.assert_array_equal(got_zf, copy_zf)
+            got, got_state = kernels.sos_filter(sos, view, FilterState(zi))
+            copy, copy_state = kernels.sos_filter(sos, view.copy(), FilterState(zi))
+            np.testing.assert_array_equal(got, copy)
+            np.testing.assert_array_equal(got_state.values, copy_state.values)
 
 
 def test_empty_input_keeps_the_state():
