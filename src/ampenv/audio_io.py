@@ -13,6 +13,7 @@ trailing frame is dropped. Writing supports mono 16-bit PCM and 32-bit float.
 from __future__ import annotations
 
 import functools
+import operator
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -675,7 +676,11 @@ def write_csv(path, signals) -> None:
 
 
 def to_mono(audio: AudioFile, mode="mean") -> Signal:
-    """Collapse to one channel: samplewise mean, or pick a channel by index."""
+    """Collapse to one channel: samplewise mean, or pick a channel by index.
+
+    The index is an integer or its decimal text; any other mode, such as a
+    fractional number, is a ``ValueError``.
+    """
     if mode == "mean":
         if audio.n_channels == 1:  # the mean of one channel is that channel
             return audio.channels[0]
@@ -686,8 +691,8 @@ def to_mono(audio: AudioFile, mode="mean") -> Signal:
             total += ch.samples
         total /= audio.n_channels
         return Signal._wrap(total, audio.sample_rate_hz)
-    try:
-        index = int(mode)
+    try:  # operator.index: int() would truncate a fractional index such as 1.7
+        index = int(mode) if isinstance(mode, str) else operator.index(mode)
     except (TypeError, ValueError):
         raise ValueError("unknown mono mode: %r (use 'mean' or a channel index)" % (mode,)) from None
     if not 0 <= index < audio.n_channels:

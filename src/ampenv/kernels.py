@@ -11,17 +11,18 @@ design in ``np.longdouble`` and rounded once to float64.
 
 One pass, ``_sos_blocked``, runs every call. It lays x out as one row
 per block: the block's ``BLOCK`` inputs (the last block's zero-padded),
-then room for the block's start state in the system's basis. It fills
-those states from ``zi`` in one of two ways, below; every block's output
-is then its row @ one (L + S, L) matrix, and the end state is the last
-row @ the advance over that block's inputs, taken back to the (s0, s1)
-delay-pair basis that callers pass in ``zi``. The state the caller passes
-picks the way: a ``FilterState`` gets the chain, delay pairs get the scan.
+then room for the block's start state. It fills those states from the
+start state in one of two ways, below; every block's output is then its
+row @ one (L + S, L) matrix, and the end state is the last row @ the
+advance over that block's inputs. The states stay in the system's basis
+between blocks, groups and spans; the (s0, s1) delay pairs that callers
+see exist only at ``sos_filter``'s boundary, where ``zi`` comes in and the
+final state goes out. The state the caller passes picks the way: a
+``FilterState`` gets the chain, delay pairs get the scan.
 
 - The chain, for streams. Each start state is the one before @ the block
-  advance, one Python step a block; at each edge of a group of ``GROUP``
-  blocks the state goes to the (s0, s1) basis and back. The outputs are
-  one (GROUP, L + S) product per group, a short last group padded with
+  advance, one Python step a block. The outputs are one (GROUP, L + S)
+  product per group of ``GROUP`` blocks, a short last group padded with
   zero rows, so a block always sits at the row its place in its group
   gives. A group's outputs and end state then depend only on its inputs
   and its start state, never on where a call starts. The groups are laid
@@ -155,34 +156,29 @@ def _advance(r: int, carry: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return np.concatenate((carry[BLOCK - r : 2 * BLOCK - r], powers[r]))
 
 
-def _sos_blocked(sos: np.ndarray, x: np.ndarray, zi: np.ndarray, chained: bool):
-    """The cascade over x, block-start states chained or scanned.
+def _sos_blocked(sos: np.ndarray, x: np.ndarray, start: np.ndarray, chained: bool):
+    """The cascade over x from ``start``, block-start states chained or scanned.
 
-    Returns (output, final state, group edge), the states as delay pairs.
-    The group edge is, for the chain, the state at the last group edge it
-    crosses: at x's start if it crosses none, at x's end if x is whole
-    groups.
+    Every state here is in the system's basis. Returns (output, end state,
+    group edge). The group edge is the start state of the group that x's
+    last block is in, read from the chain's start states, or the end state
+    if x is whole groups.
     """
-    h, observe, carry, powers, steps, to_system, to_delay = _block_operators(_key(sos))
+    h, observe, carry, powers, steps = _block_operators(_key(sos))[:5]
     count = len(x)
     n_blocks = -(-count // BLOCK)
     r = count - (n_blocks - 1) * BLOCK  # inputs in the last block
-    rows = np.empty((-(-n_blocks // GROUP) * GROUP if chained else n_blocks, BLOCK + len(to_delay)))
+    rows = np.empty((-(-n_blocks // GROUP) * GROUP if chained else n_blocks, BLOCK + len(start)))
     rows[: n_blocks - 1, :BLOCK] = x[: count - r].reshape(n_blocks - 1, BLOCK)
     rows[n_blocks - 1, :r] = x[count - r :]
     rows[n_blocks - 1, r:BLOCK] = 0.0
     rows[n_blocks:] = 0.0
     starts = rows[:, BLOCK:]
-    np.dot(to_system, np.asarray(zi, np.float64).reshape(-1), out=starts[0])
-    edge = zi
+    starts[0] = start
     if chained:
         advance = _advance(BLOCK, carry, powers)
         for k in range(1, n_blocks):  # np.dot: half the call cost of @ at this size
-            if k % GROUP:
-                np.dot(rows[k - 1], advance, out=starts[k])
-            else:  # a group edge: to the (s0, s1) pairs and back
-                edge = to_delay.dot(rows[k - 1].dot(advance))
-                np.dot(to_system, edge, out=starts[k])
+            np.dot(rows[k - 1], advance, out=starts[k])
         y = np.matmul(rows.reshape(-1, GROUP, rows.shape[1]), _output_matrix(h, observe))
     else:
         # starts[i + 1] = starts[i] @ steps[0] + added[i], summed over doubling spans.
@@ -196,10 +192,9 @@ def _sos_blocked(sos: np.ndarray, x: np.ndarray, zi: np.ndarray, chained: bool):
             span *= 2
         starts[1:] = added
         y = rows @ _output_matrix(h, observe)
-    end = to_delay.dot(rows[n_blocks - 1].dot(_advance(r, carry, powers)))
-    if not count % (GROUP * BLOCK):
-        edge = end
-    return y.reshape(-1)[:count], end.reshape(-1, 2), np.reshape(edge, (-1, 2))
+    end = rows[n_blocks - 1].dot(_advance(r, carry, powers))
+    edge = starts[(n_blocks - 1) // GROUP * GROUP].copy() if count % (GROUP * BLOCK) else end
+    return y.reshape(-1)[:count], end, edge
 
 
 def _key(sos: np.ndarray) -> bytes:
@@ -213,16 +208,18 @@ class FilterState:
     ``values`` is the state at the current sample. A state that
     ``sos_filter`` returns also keeps, privately, the open group of blocks
     the stream is in: the sections that ran it, the state at the group's
-    start and the group's inputs so far. Passed back with the same sections
+    start in those sections' system basis (``kernels`` module docstring)
+    and the group's inputs so far. Passed back with the same sections
     (the same design, or an equal one rebuilt from the same spec) it
     continues on that grid, bit for bit. Built as ``FilterState(values)``,
     or passed with other sections, it starts a new grid at ``values``: a
     state handed to another design continues exactly as
-    ``FilterState(state.values)`` would.
+    ``FilterState(state.values)`` would. Passed with no input, it comes
+    back as it is.
     """
 
     values: np.ndarray
-    _group: tuple | None = field(default=None, init=False, repr=False)  # (sections key, start, inputs)
+    _group: tuple | None = field(default=None, init=False, repr=False)  # (sections key, system-basis start, inputs)
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.float64)
@@ -247,17 +244,21 @@ def sos_filter(sos: np.ndarray, x: np.ndarray, zi):
     ``_SPAN`` samples, which bound its rows, not its bits. x may be a
     strided view. Inputs are not mutated.
     """
+    key = _key(sos)
+    to_system, to_delay = _block_operators(key)[5:]
     if not isinstance(zi, FilterState):
         if not len(x):
             return np.empty(0), np.array(zi, dtype=np.float64)
-        return _sos_blocked(sos, x, zi, False)[:2]
-    key = _key(sos)
-    z, inputs = zi._group[1:] if zi._group and zi._group[0] == key else (zi.values, np.empty(0))
+        y, end, _ = _sos_blocked(sos, x, to_system.dot(np.asarray(zi, np.float64).reshape(-1)), False)
+        return y, to_delay.dot(end).reshape(-1, 2)
+    if not len(x):
+        return np.empty(0), zi
+    same_grid = zi._group and zi._group[0] == key
+    z, inputs = zi._group[1:] if same_grid else (to_system.dot(zi.values.reshape(-1)), np.empty(0))
     x = np.concatenate((inputs, x))
     y = np.empty(len(x))
-    edge = z
     for i in range(0, len(x), _SPAN):
         y[i : i + _SPAN], z, edge = _sos_blocked(sos, x[i : i + _SPAN], z, True)
-    state = FilterState(z)
+    state = FilterState(to_delay.dot(z).reshape(-1, 2))
     object.__setattr__(state, "_group", (key, edge, x[len(x) - len(x) % (GROUP * BLOCK) :].copy()))
     return y[len(inputs) :], state

@@ -654,6 +654,9 @@ class TestToMono:
         np.testing.assert_array_equal(
             to_mono(audio, "1").samples, audio.channels[1].samples
         )
+        np.testing.assert_array_equal(
+            to_mono(audio, np.int64(1)).samples, audio.channels[1].samples
+        )
 
     def test_channel_out_of_range(self, tmp_path):
         audio = self.read_stereo(tmp_path, [1], [2])
@@ -661,6 +664,8 @@ class TestToMono:
             to_mono(audio, 2)
 
     def test_unknown_mode(self, tmp_path):
+        # A fractional index is no channel, not the channel int() truncates it to.
         audio = self.read_stereo(tmp_path, [1], [2])
-        with pytest.raises(ValueError, match="unknown mono mode"):
-            to_mono(audio, "loudest")
+        for mode in ("loudest", 1.7, 0.5):
+            with pytest.raises(ValueError, match="unknown mono mode"):
+                to_mono(audio, mode)

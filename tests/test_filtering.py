@@ -48,9 +48,9 @@ def scanned_zero_phase(design, x):
     pad = default_pad_len(design)
     sos = design.sections
     ext = np.concatenate((2.0 * x[0] - x[pad:0:-1], x, 2.0 * x[-1] - x[-2 : -pad - 2 : -1]))
-    fwd = kernels._sos_blocked(sos, ext, _step_state(sos, ext[0]), False)[0]
+    fwd = kernels.sos_filter(sos, ext, _step_state(sos, ext[0]))[0]
     rev = fwd[::-1]
-    bwd = kernels._sos_blocked(sos, rev, _step_state(sos, rev[0]), False)[0]
+    bwd = kernels.sos_filter(sos, rev, _step_state(sos, rev[0]))[0]
     return bwd[::-1][pad:-pad]
 
 
@@ -177,9 +177,15 @@ class TestFilterCausal:
         reference, _ = recurrence(design.sections, x, zi, np.longdouble)
         scale = np.max(np.abs(reference))
         out, _ = filter_causal(design, Signal(x, 44100.0), FilterState(zi))
-        blocked = float(np.max(np.abs(out.samples - reference)) / scale)
-        sequential = float(np.max(np.abs(recurrence(design.sections, x, zi)[0] - reference)) / scale)
-        assert blocked <= sequential
+
+        def deviation(y):
+            return float(np.max(np.abs(y - reference)) / scale)
+
+        blocked = deviation(out.samples)
+        assert blocked <= deviation(recurrence(design.sections, x, zi)[0])
+        # The chain keeps its states in the scan's basis, so it is as
+        # accurate as the scan (measured 0.7-1.0x).
+        assert blocked <= 1.5 * deviation(kernels.sos_filter(design.sections, x, zi)[0])
 
     def test_continuing_from_the_public_values_alone(self, rng):
         # FilterState(values) drops the block grid, so only rounding differs.

@@ -11,6 +11,13 @@ def sections(cutoff_hz):
     return butterworth_lowpass(FilterSpec(cutoff_hz, 44100.0)).sections
 
 
+def blocked_in_delay_pairs(sos, x, zi, chained):
+    """kernels._sos_blocked from and to (s0, s1) delay pairs, converted as sos_filter does."""
+    to_system, to_delay = kernels._block_operators(kernels._key(sos))[5:]
+    y, end, _ = kernels._sos_blocked(sos, x, to_system.dot(np.asarray(zi, np.float64).reshape(-1)), chained)
+    return y, to_delay.dot(end).reshape(-1, 2)
+
+
 @pytest.mark.skipif(
     not has_extended_precision,
     reason="np.longdouble is float64 here, so there is no extended-precision reference",
@@ -30,9 +37,10 @@ def test_blocked_deviation_within_the_recurrence(cutoff_hz, seed):
     sequential = deviation(recurrence(sos, x, zi)[0])
     assert blocked <= 1e-9
     # Stricter than the 32x of the recurrence that blocks need in general:
-    # the rotation-form states make them more accurate than the recurrence
-    # itself (measured 0.004-0.008x); in the delay-pair basis they were
-    # 11-23x at 5 Hz.
+    # the block states stay in the rotation form from zi to the final state,
+    # delay pairs only at sos_filter's boundary, which makes them more
+    # accurate than the recurrence itself (measured 0.004-0.008x). Block
+    # states in the delay-pair basis measured 11-23x at 5 Hz.
     assert blocked <= sequential
 
 
@@ -43,7 +51,7 @@ def test_block_lengths_agree_with_the_recurrence(n, rng):
     zi = _step_state(sos, 0.3)
     expected, expected_zf = recurrence(sos, x, zi)
     for chained in (True, False):
-        got, zf, _ = kernels._sos_blocked(sos, x, zi, chained)
+        got, zf = blocked_in_delay_pairs(sos, x, zi, chained)
         assert got.shape == (n,)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.max(np.abs(zf - expected_zf)) <= 1e-12 * np.max(np.abs(expected_zf))
@@ -72,7 +80,7 @@ def test_block_aligned_spans_and_short_remainders_carry(n, as_state, rng):
     sos = sections(150.0)
     x = rng.standard_normal(n)
     zi = rng.standard_normal((2, 2))
-    want, want_zf, _ = kernels._sos_blocked(sos, x, zi, as_state)
+    want, want_zf = blocked_in_delay_pairs(sos, x, zi, as_state)
     got, got_zf = kernels.sos_filter(sos, x, FilterState(zi) if as_state else zi)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(got_zf.values if as_state else got_zf, want_zf)
@@ -151,9 +159,15 @@ def test_reversed_view_matches_copy(rng):
             np.testing.assert_array_equal(got_state.values, copy_state.values)
 
 
-def test_empty_input_keeps_the_state():
+def test_empty_input_keeps_the_state(rng):
     sos = sections(150.0)
     zi = _step_state(sos, 0.3)
     y, zf = kernels.sos_filter(sos, np.zeros(0), zi)
     assert y.shape == (0,)
     np.testing.assert_array_equal(zf, zi)
+    # A FilterState, fresh or mid-group, comes back with the same bits.
+    _, returned = kernels.sos_filter(sos, rng.standard_normal(BLOCK + 5), FilterState(zi))
+    for state in (FilterState(zi), returned):
+        y, same = kernels.sos_filter(sos, np.zeros(0), state)
+        assert y.shape == (0,)
+        assert same.values.tobytes() == state.values.tobytes()
