@@ -33,8 +33,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import kernels
 from .filter_design import FilterSpec, butterworth_lowpass
-from .filtering import _zero_phase, filtfilt_zero_phase
+from .filtering import _held_zero_phase, _zero_phase, filtfilt_zero_phase
 from .signals import BunchSpec, Signal, _positive_finite, _positive_int, bunch_max, rectify
 
 
@@ -81,8 +82,11 @@ def three_step_stages(
 ) -> tuple[Signal, Signal, Signal]:
     """Rectified, staircase, and final envelope stages of the peak-hold method.
 
-    All three are held at full length; ``three_step_envelope`` makes only
-    the last, in pieces.
+    All three are held at full length, and the envelope is the zero-phase
+    filter of the staircase at the full rate. ``three_step_envelope`` makes
+    only the last, for bunches of 2-256 samples from the bunch peaks at the
+    group rate: the two agree to within the float64 recurrence's rounding,
+    not bit for bit.
     """
     p = params if params is not None else EnvelopeParams()
     design = butterworth_lowpass(FilterSpec(p.cutoff_hz, s.sample_rate, p.filter_order))
@@ -100,21 +104,29 @@ def three_step_envelope(s: Signal, params: EnvelopeParams | None = None) -> Enve
     the classical estimators. Filter ringing can make the output dip
     slightly below zero near sharp transitions.
 
-    The three stages run together on pieces of 2^17 samples, so neither the
-    rectified waveform nor the staircase is ever held at full length:
-    besides the input, memory is one float64 buffer of the padded length,
-    of which the envelope is a view. ``three_step_stages`` returns all three
-    stages, with the same envelope bit for bit.
+    For bunches of 2-256 samples the staircase is never built: the
+    zero-phase pass runs from the bunch peaks, one small product per group
+    of whole bunches (``kernels`` module docstring). Besides the input,
+    memory is the envelope and the peaks. Other bunch sizes run the three
+    stages together on pieces of 2^17 samples, into one float64 buffer of
+    the padded length of which the envelope is a view. Either way neither
+    the rectified waveform nor the staircase is held at full length.
+    ``three_step_stages`` returns all three stages; its envelope, filtered
+    at the full rate, agrees with this one to within the float64
+    recurrence's rounding, not bit for bit.
     """
     p = params if params is not None else EnvelopeParams()
     return EnvelopeResult(_peak_hold(s, p), "three_step", asdict(p))
 
 
 def _peak_hold(s: Signal, p: EnvelopeParams) -> Signal:
-    # Errors come in three_step_stages' order: the design's, then empty input.
+    # Errors come in three_step_stages' order: the design's, then empty
+    # input, then the pad's, which both passes raise.
     design = butterworth_lowpass(FilterSpec(p.cutoff_hz, s.sample_rate, p.filter_order))
     if len(s) == 0:
         raise ValueError("empty input")
+    if 2 <= p.bunch_size <= kernels.HOLD:  # the group rate; the follower and larger bunches take the pieces
+        return _held_zero_phase(design, s, p.bunch_size)
     return _zero_phase(design, s, p.bunch_size)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .filter_design import FilterDesign
 from .kernels import FilterState
-from .signals import BunchSpec, Signal, _rectified_peaks, bunch_max, rectify
+from .signals import BunchSpec, Signal, _peaks, _rectified_peaks, bunch_max, rectify
 
 
 def _check_rate(design: FilterDesign, s: Signal) -> None:
@@ -73,6 +73,16 @@ def default_pad_len(design: FilterDesign) -> int:
     return 3 * (2 * design.order + 1)
 
 
+def _pad_for(design: FilterDesign, n: int) -> int:
+    """The design's pad, once a signal of n samples is checked to be longer."""
+    pad = default_pad_len(design)
+    if n <= pad:
+        raise ValueError(
+            "signal shorter than filter transient pad (%d samples <= pad %d)" % (n, pad)
+        )
+    return pad
+
+
 def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
     """Zero-phase filtering: forward pass, then backward pass.
 
@@ -102,6 +112,10 @@ _PIECE = 1 << 17
 def _zero_phase(design: FilterDesign, s: Signal, bunch: int | None = None) -> Signal:
     """Both zero-phase passes over ``s``, or over its peak-hold staircase if ``bunch`` is given.
 
+    ``three_step_envelope`` runs these passes for the follower's bunch of
+    1 and for bunches above ``kernels.HOLD``, and ``_held_zero_phase`` for
+    the others.
+
     The input is cut into consecutive pieces of ``_PIECE`` samples whatever
     the bunch, so the peak-hold envelope is bit for bit
     ``filtfilt_zero_phase`` of the whole staircase. A piece's staircase
@@ -115,11 +129,7 @@ def _zero_phase(design: FilterDesign, s: Signal, bunch: int | None = None) -> Si
     the whole padded array, with no copy into a buffer.
     """
     x = s.samples
-    n, pad, sos = len(x), default_pad_len(design), design.sections
-    if n <= pad:
-        raise ValueError(
-            "signal shorter than filter transient pad (%d samples <= pad %d)" % (n, pad)
-        )
+    n, pad, sos = len(x), _pad_for(design, len(x)), design.sections
     piece = max(_PIECE, pad + 1)  # a pad needs pad + 1 samples
     cuts = [*range(0, n - pad, piece), n]
     # Piece [cuts[i], cuts[i + 1]) fills [edges[i], edges[i + 1]) of the
@@ -160,6 +170,70 @@ def _zero_phase(design: FilterDesign, s: Signal, bunch: int | None = None) -> Si
             buf[lo:hi] = bwd[::-1]
         del bwd
     return Signal._wrap(buf[pad : pad + n], s.sample_rate)
+
+
+# Multiply-adds per product of the group-rate body, at most: OpenBLAS runs
+# a larger GEMM on all its threads. On a 2-core VM with two threads, waking
+# them took a whole 1.5 s envelope from 0.41 ms to 0.99-7.5 ms.
+_BODY_MACS = 1 << 18
+
+
+def _held_zero_phase(design: FilterDesign, s: Signal, bunch: int) -> Signal:
+    """``_zero_phase(design, s, bunch)`` from the bunch peaks, at the group rate.
+
+    For 2 <= bunch <= ``kernels.HOLD``. Groups of ``kernels.HOLD // bunch``
+    whole bunches lie on the bunch grid from sample 0. A group's envelope is
+    [w, z, u] times one operator: its backward state entering from its end,
+    its forward start state and its peaks (``kernels`` module docstring).
+    Both state recurrences are scanned over the groups. Three kernel calls
+    run the edges: the front pad forward, whose end state starts the first
+    group; then the samples after the last whole group, with the end pad,
+    forward from the forward scan's last state, and backward from the step
+    state, whose end state starts the backward scan. There is no staircase,
+    rectified waveform or full-rate pass: besides the input, memory is the
+    output (which holds |x| until the peaks are taken) and the n / bunch
+    peaks.
+    """
+    x = s.samples
+    n, pad, sos = len(x), _pad_for(design, len(x)), design.sections
+    group, gamma, back, steps, to_system, to_delay = kernels._held_operators(kernels._key(sos), bunch)
+    width = len(gamma)  # peaks per group
+    span, states = width * bunch, len(back) - width
+    count = n // span  # whole groups
+    env = np.abs(x)
+    peaks = _peaks(env, bunch)
+    front = 2.0 * peaks[0] - peaks[np.arange(pad, 0, -1) // bunch]  # the odd reflection of samples pad..1
+    _, z = kernels.sos_filter(sos, front, _step_state(sos, front[0]))
+    rows = np.empty((count, 2 * states + width))  # [w, z, u] per group
+    rows[:, 2 * states :] = peaks[: count * width].reshape(count, width)
+    if count:  # the scans run in the system's basis, sos_filter in delay pairs
+        rows[0, states : 2 * states] = to_system.dot(z.reshape(-1))
+        added = rows[:, 2 * states :] @ gamma
+        added[:1] += rows[0, states : 2 * states] @ steps[0]
+        kernels._scan(added, steps)
+        rows[1:, states : 2 * states] = added[:-1]
+        z = to_delay.dot(added[-1]).reshape(-1, 2)
+    # The samples after the last whole group, then the end pad: the odd
+    # reflection of the pad samples before the last, which may reach back
+    # into the groups.
+    lo = min(count * span, n - pad - 1)
+    tail = peaks[np.arange(lo, n) // bunch]
+    tail = np.concatenate((tail[count * span - lo :], 2.0 * tail[-1] - tail[-2 : -pad - 2 : -1]))
+    fwd, _ = kernels.sos_filter(sos, tail, z)
+    bwd, w = kernels.sos_filter(sos, fwd[::-1], _step_state(sos, fwd[-1]))
+    env[count * span :] = bwd[: pad - 1 : -1]
+    if count:
+        w = to_system.dot(w.reshape(-1))
+        added = rows[:0:-1, states:] @ back  # from the last group back to the second
+        added[:1] += w @ steps[0]
+        kernels._scan(added, steps)
+        rows[-1, :states] = w
+        rows[:-1, :states] = added[::-1]
+        body = env[: count * span].reshape(count, span)
+        step = max(1, _BODY_MACS // group.size)
+        for i in range(0, count, step):
+            np.matmul(rows[i : i + step], group, out=body[i : i + step])
+    return Signal._wrap(env, s.sample_rate)
 
 
 def chunked_envelope_stream(

@@ -38,6 +38,31 @@ final state goes out. The state the caller passes picks the way: a
   is ~2x faster than the chain, but a block's rounding then depends on
   where it sits in the input. The product stays flat: the chain's grouped
   one is over 2x slower under OpenBLAS's Haswell kernels.
+
+The peak-hold envelope runs at the group rate. Its staircase is a hold of
+one peak per bunch of N samples, filtered forward and then backward, and
+``_held_operators`` puts that whole system in the same block form. A group
+is G = ``HOLD // N`` whole bunches, L = G N samples. Let z be a group's
+forward start state, w the backward state entering from its end, and u its
+G peaks. Then:
+
+- the group's envelope is [w, z, u] @ O, where O^T = [R Y | R T R Y |
+  R T R T E] has shape (L, 2S + G);
+- the forward state at the next group's start is A^L z + Gamma u, with
+  Gamma = K E;
+- the backward state at this group's start is A^L w + M_z z + M_u u, with
+  M_z = K R Y and M_u = K R T E.
+
+Row k of Y is C A^k, T is the lower-triangular Toeplitz matrix of the
+impulse response, E the hold (E[t, i] = 1 when t // N = i), R reverses
+the samples and column t of K is A^(L - 1 - t) B. Both recurrences are
+summed over the groups by the scan's doubling, ``_scan``, so the work is
+2(2S + G) flops a sample, against 2 x 2(L + S) for two full-rate passes
+over the staircase. ``filtering._held_zero_phase`` drives it, and the pads
+and the samples after the last whole group go through ``sos_filter``. The
+follower (N = 1) and bunches above ``HOLD`` keep the full-rate passes: at
+N = 1 this form measured 0.5-1.0x the block kernel, and past ``HOLD`` its
+long-double build grows as L^2.
 """
 
 from __future__ import annotations
@@ -51,6 +76,7 @@ BLOCK = 128  # samples per block, a power of two: A^BLOCK is a repeated square
 GROUP = 4  # blocks per group of the chain: one output GEMM of this many rows
 _SPAN = 1 << 15  # samples per chained pass: caps its rows; any multiple of GROUP * BLOCK gives the same bits
 _SCAN_STEPS = 48  # block-transition powers kept: the scan covers 2^48 blocks
+HOLD = 256  # samples per group of the held zero-phase pass, at most: HOLD // bunch whole bunches
 
 
 def _state_space(sos: np.ndarray):
@@ -131,6 +157,68 @@ def _block_operators(key: bytes):
     )
 
 
+@functools.lru_cache(maxsize=32)
+def _held_operators(key: bytes, bunch: int):
+    """Float64 operators of the zero-phase pass over a hold of ``bunch``-sample peaks.
+
+    A group is G = ``HOLD // bunch`` whole bunches, L = G * bunch samples
+    (module docstring). Built once per (design, bunch) in np.longdouble and
+    rounded once to float64. Returns (group, gamma, back, steps, to_system,
+    to_delay): a group's envelope is [w, z, u] @ group, of shape (2S + G, L);
+    the forward state at the next group's start is z @ steps[0] + u @ gamma;
+    the backward state at this group's start is w @ steps[0] + [z, u] @
+    back; steps[j] is (A^(L * 2^j))^T, for the scans over groups; to_system
+    and to_delay are ``_block_operators``'.
+    """
+    a, b, c, d = _state_space(np.frombuffer(key).reshape(-1, 5))[:4]
+    groups = HOLD // bunch
+    span = groups * bunch
+    ab = b[None, :]  # row k: (A^k B)^T
+    ca = c[None, :]  # row k: C A^k
+    squares = []  # A^(2^k)
+    power = a
+    while len(ca) < 2 * span:
+        ab = np.vstack((ab, ab @ power.T))
+        ca = np.vstack((ca, ca @ power))
+        squares.append(power)
+        power = power @ power
+    ab, observe = ab[:span], ca[:span]  # K R, transposed, and Y
+    h = np.concatenate(([d], ca[: 2 * span - 1] @ b))  # the impulse response, 2L samples
+    t = np.arange(span)
+    # R T R Y: row t is sum over k <= L - 1 - t of h[k] C A^(t + k), so
+    # (sum of h[k] C A^k) A^t, with A^t taken from the squares bit by bit.
+    rtry = np.cumsum(h[:span, None] * observe, axis=0)[::-1]
+    advance = np.eye(len(a), dtype=a.dtype)  # A^L
+    for k, square in enumerate(squares):
+        odd = t >> k & 1 == 1
+        rtry[odd] = rtry[odd] @ square
+        if span >> k & 1:
+            advance = advance @ square
+    # T E: column i is g from sample i * bunch on, g the response to one bunch of ones.
+    g = np.cumsum(h[:span])
+    g[bunch:] -= g[:-bunch].copy()
+    lags = t[:, None] - bunch * np.arange(groups)
+    zeros = np.zeros(span, a.dtype)
+    held = np.concatenate((zeros, g))[span + lags]
+    # R T R T E: row t of column i is the sum over s >= t - i * bunch of
+    # h[s - t + i * bunch] g[s] (one convolution), less the part past g's
+    # end, C A^(L - 1 - t) times the state of g's last i * bunch samples run backward.
+    full = np.convolve(h, g[::-1])
+    left = np.concatenate((g, zeros))[span + lags.T] @ ab  # row i: that state
+    rtrte = full[span - 1 - lags] - observe[::-1] @ left.T
+    steps = []
+    for _ in range(_SCAN_STEPS):
+        steps.append(_shared(advance.T))
+        advance = advance @ advance
+    return (
+        _shared(np.hstack((observe[::-1], rtry, rtrte)).T),
+        _shared(ab[::-1].reshape(groups, bunch, -1).sum(axis=1)),
+        _shared(np.vstack((observe.T @ ab, held.T @ ab))),
+        tuple(steps),
+        *_block_operators(key)[5:],
+    )
+
+
 def _shared(a: np.ndarray) -> np.ndarray:
     """A read-only float64 copy: cached operators are shared by every call."""
     a = a.astype(np.float64)
@@ -154,6 +242,22 @@ def _output_matrix(h: np.ndarray, observe: np.ndarray) -> np.ndarray:
 def _advance(r: int, carry: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """A block row @ this matrix is the system state after the block's first r inputs."""
     return np.concatenate((carry[BLOCK - r : 2 * BLOCK - r], powers[r]))
+
+
+def _scan(added: np.ndarray, steps) -> np.ndarray:
+    """Sum s[i + 1] = s[i] @ steps[0] + added[i] in place over doubling spans; returns ``added``.
+
+    ``added[0]`` already holds the share of the first state s[0]; on return
+    ``added[i]`` is s[i + 1]. ``steps[j]`` is ``steps[0]`` to the power
+    2^j. A Hillis-Steele scan: no Python step per row.
+    """
+    span = 1
+    for step in steps:
+        if span >= len(added):
+            break
+        added[span:] += added[:-span] @ step
+        span *= 2
+    return added
 
 
 def _sos_blocked(sos: np.ndarray, x: np.ndarray, start: np.ndarray, chained: bool):
@@ -181,16 +285,9 @@ def _sos_blocked(sos: np.ndarray, x: np.ndarray, start: np.ndarray, chained: boo
             np.dot(rows[k - 1], advance, out=starts[k])
         y = np.matmul(rows.reshape(-1, GROUP, rows.shape[1]), _output_matrix(h, observe))
     else:
-        # starts[i + 1] = starts[i] @ steps[0] + added[i], summed over doubling spans.
         added = rows[:-1, :BLOCK] @ carry[:BLOCK]
         added[:1] += starts[0] @ steps[0]
-        span = 1
-        for step in steps:
-            if span >= len(added):
-                break
-            added[span:] += added[:-span] @ step
-            span *= 2
-        starts[1:] = added
+        starts[1:] = _scan(added, steps)
         y = rows @ _output_matrix(h, observe)
     end = rows[n_blocks - 1].dot(_advance(r, carry, powers))
     edge = starts[(n_blocks - 1) // GROUP * GROUP].copy() if count % (GROUP * BLOCK) else end

@@ -110,9 +110,14 @@ def bunch_max(s: Signal, spec: BunchSpec | int) -> Signal:
     return Signal._wrap(out, s.sample_rate)
 
 
+def _peaks(x: np.ndarray, n: int) -> np.ndarray:
+    """The maximum of each n-sample bunch of x, a trailing partial bunch's too."""
+    return np.maximum.reduceat(x, np.arange(0, len(x), n))
+
+
 def _bunch_peaks(x: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """Write into ``out`` (which may be ``x`` itself) each sample's n-sample bunch maximum; returns ``out``."""
-    peaks = np.maximum.reduceat(x, np.arange(0, len(x), n))  # a trailing partial bunch's too
+    peaks = _peaks(x, n)
     full = len(x) // n
     out[: full * n].reshape(full, n)[:] = peaks[:full, None]
     out[full * n :] = peaks[full:]

@@ -3,6 +3,7 @@
 import struct
 
 import numpy as np
+import pytest
 
 from ampenv.filtering import _step_state
 
@@ -44,6 +45,23 @@ def peak_hold_envelope(sos, x, bunch, pad, dtype=np.float64):
     fwd, _ = recurrence(sos, ext, _step_state(sos, ext[0]), dtype)
     bwd, _ = recurrence(sos, fwd[::-1], _step_state(sos, float(fwd[-1])), dtype)
     return bwd[::-1][pad : pad + n]
+
+
+def assert_within_the_recurrence(sos, x, bunch, pad, envelope):
+    """Assert that ``envelope`` lies no further from the long-double peak-hold envelope than the float64 recurrence.
+
+    Distances are max |y - reference| over max |reference|, the reference
+    being ``peak_hold_envelope`` in np.longdouble. Skips the test where
+    np.longdouble is float64, which leaves no extended-precision reference.
+    """
+    if not has_extended_precision:
+        pytest.skip("np.longdouble is float64 here, so there is no extended-precision reference")
+    reference = peak_hold_envelope(sos, x, bunch, pad, np.longdouble)
+    scale = np.max(np.abs(reference))
+    blocked, sequential = (
+        float(np.max(np.abs(y - reference)) / scale) for y in (envelope, peak_hold_envelope(sos, x, bunch, pad))
+    )
+    assert blocked <= sequential, "%.3g of the peak, the float64 recurrence %.3g" % (blocked, sequential)
 
 
 has_extended_precision = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import has_extended_precision, peak_hold_envelope
+from oracles import assert_within_the_recurrence, has_extended_precision
 from scipy import signal as sps
 
 from ampenv import (
@@ -16,6 +16,7 @@ from ampenv import (
     envelope_rms,
     filtering,
     generate,
+    kernels,
     rectify,
     three_step_envelope,
     three_step_stages,
@@ -47,6 +48,36 @@ def rel_rmse(est, ref):
     return np.sqrt(np.mean(err**2) / np.mean(ref**2))
 
 
+def pcm16_tone(n, rate=44100.0):
+    """A 440 Hz tone at 3 Hz AM plus noise, as pcm16 values: what the oracle tests filter."""
+    t = np.arange(n) / rate
+    noise = np.random.default_rng(71).standard_normal(n)
+    x = (0.5 + 0.4 * np.sin(2.0 * np.pi * 3.0 * t)) * np.sin(2.0 * np.pi * 440.0 * t) + 0.05 * noise
+    return np.clip(np.round(x * 32768.0), -32768, 32767) / 32768.0
+
+
+def edge_cases():
+    """(cutoff, order, bunch, n) around the group rate's edges, n at most 3,000 so the oracle stays fast.
+
+    Bunches span the group rate (2-256) and one past it, which takes the
+    full-rate passes; n leaves 0, 1, pad and L - 1 samples after the
+    whole groups of L samples, or is short of one group, short of one
+    bunch, or one past the pad.
+    """
+    for cutoff, order in ((150.0, 4), (1000.0, 8)):
+        pad = 3 * (2 * order + 1)
+        for bunch in (2, 7, 35, 50, 128, 129, 200, 256, 257):
+            span = max(kernels.HOLD // bunch, 1) * bunch
+            whole = (3000 - span) // span * span
+            lengths = {
+                "0": whole, "1": whole + 1, "pad": whole + pad, "L-1": whole + span - 1,
+                "n<L": (span + pad) // 2 + 1, "n<N": bunch - 1, "pad+1": pad + 1,
+            }
+            for name, n in lengths.items():
+                if n > pad:
+                    yield pytest.param(cutoff, order, bunch, n, id="%gHz-order%d-bunch%d-%s" % (cutoff, order, bunch, name))
+
+
 class TestThreeStep:
     def test_constant_preserved(self):
         sig = Signal(np.full(4000, 0.8), 44100.0)
@@ -70,14 +101,16 @@ class TestThreeStep:
     def test_stages_are_consistent(self, rng):
         sig = Signal(rng.standard_normal(2000), 44100.0)
         p = EnvelopeParams(35, 300.0)
-        rectified, staircase, envelope = three_step_stages(sig, p)
+        rectified, staircase, _ = three_step_stages(sig, p)
         np.testing.assert_array_equal(rectified.samples, np.abs(sig.samples))
         np.testing.assert_array_equal(
             staircase.samples, bunch_max(rectify(sig), 35).samples
         )
-        np.testing.assert_array_equal(
-            envelope.samples, three_step_envelope(sig, p).envelope.samples
-        )
+        # The envelope runs at the group rate, from the bunch peaks, and
+        # rounds otherwise than the stages' passes over the staircase.
+        design = butterworth_lowpass(FilterSpec(300.0, 44100.0))
+        envelope = three_step_envelope(sig, p).envelope.samples
+        assert_within_the_recurrence(design.sections, sig.samples, 35, filtering.default_pad_len(design), envelope)
 
     def test_staircase_dominates_signal(self, rng):
         sig = Signal(rng.standard_normal(1111), 44100.0)
@@ -113,26 +146,52 @@ class TestThreeStep:
         ids=[*PRESETS, "bunch200-20Hz"],
     )
     def test_deviation_within_the_recurrence(self, params, monkeypatch):
-        # Pieces of 4,096 samples, so the envelope crosses piece carries and
-        # runs both the chained and the scanned kernel; the bar is that of
-        # test_blocked_deviation_within_the_recurrence.
+        # Pieces of 4,096 samples once made the envelope cross piece
+        # carries. Every bunch here now runs at the group rate, which has no
+        # pieces, so the patch no longer reaches the envelope. The bar is
+        # that of test_blocked_deviation_within_the_recurrence.
         monkeypatch.setattr(filtering, "_PIECE", 4096)
         rate = 44100.0
-        t = np.arange(30000) / rate
-        noise = np.random.default_rng(71).standard_normal(len(t))
-        x = (0.5 + 0.4 * np.sin(2.0 * np.pi * 3.0 * t)) * np.sin(2.0 * np.pi * 440.0 * t) + 0.05 * noise
-        x = np.clip(np.round(x * 32768.0), -32768, 32767) / 32768.0  # pcm16 values
+        x = pcm16_tone(30000, rate)
         design = butterworth_lowpass(FilterSpec(params.cutoff_hz, rate, params.filter_order))
-        pad = filtering.default_pad_len(design)
-        reference = peak_hold_envelope(design.sections, x, params.bunch_size, pad, np.longdouble)
-        scale = np.max(np.abs(reference))
+        envelope = three_step_envelope(Signal(x, rate), params).envelope.samples
+        assert_within_the_recurrence(design.sections, x, params.bunch_size, filtering.default_pad_len(design), envelope)
 
-        def deviation(y):
-            return float(np.max(np.abs(y - reference)) / scale)
+    @pytest.mark.parametrize("cutoff, order, bunch, n", edge_cases())
+    def test_edges_within_the_recurrence(self, cutoff, order, bunch, n):
+        design = butterworth_lowpass(FilterSpec(cutoff, 44100.0, order))
+        x = pcm16_tone(n)
+        envelope = three_step_envelope(Signal(x, 44100.0), EnvelopeParams(bunch, cutoff, order)).envelope
+        assert len(envelope) == n
+        assert_within_the_recurrence(design.sections, x, bunch, filtering.default_pad_len(design), envelope.samples)
 
-        blocked = deviation(three_step_envelope(Signal(x, rate), params).envelope.samples)
-        sequential = deviation(peak_hold_envelope(design.sections, x, params.bunch_size, pad))
-        assert blocked <= sequential
+    def test_a_second_call_builds_no_operators(self, rng):
+        # Operators are kept per (design, bunch); a call of another length
+        # runs its own tail through the kernel, with no operator of its own.
+        kernels._held_operators.cache_clear()
+        p = EnvelopeParams(37, 700.0)
+        three_step_envelope(Signal(rng.standard_normal(3000), 44100.0), p)
+        assert kernels._held_operators.cache_info().misses == 1
+        three_step_envelope(Signal(rng.standard_normal(1234), 44100.0), p)
+        info = kernels._held_operators.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("bunch", [2, 50, 256])
+    def test_errors_come_in_the_stages_order(self, bunch):
+        # The design's error, then empty input, then the pad (27 samples).
+        cases = [
+            (0, 30000.0, "cutoff above Nyquist"),
+            (27, 30000.0, "cutoff above Nyquist"),
+            (0, 150.0, "^empty input$"),
+            (27, 150.0, r"^signal shorter than filter transient pad \(27 samples <= pad 27\)$"),
+        ]
+        for n, cutoff, message in cases:
+            sig, p = Signal(np.zeros(n), 44100.0), EnvelopeParams(bunch, cutoff)
+            with pytest.raises(ValueError, match=message) as stages:
+                three_step_stages(sig, p)
+            with pytest.raises(ValueError) as envelope:
+                three_step_envelope(sig, p)
+            assert str(envelope.value) == str(stages.value)
 
     def test_cutoff_above_nyquist_propagates(self):
         sig = sine(duration=0.1)
