@@ -223,6 +223,8 @@ def compare_methods(
             raise ValueError("unknown method: %r" % (method,))
     if truth is None and all(method != "three_step" for method, _ in configs):
         raise ValueError("no reference available: supply truth or a three_step config")
+    if len(s) == 0:  # no metric is defined on no samples, so no estimator need run
+        raise ValueError("empty input")
 
     runs = []
     for method, config in configs:

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import kernels
 from .filter_design import FilterSpec, butterworth_lowpass
-from .filtering import _held_zero_phase, _zero_phase, filtfilt_zero_phase
-from .signals import BunchSpec, Signal, _positive_finite, _positive_int, bunch_max, rectify
+from .filtering import _held_zero_phase, _pad_for, _zero_phase, filtfilt_zero_phase
+from .signals import BunchSpec, Signal, _bunch_peaks, _positive_finite, _positive_int, bunch_max, rectify
 
 
 @dataclass(frozen=True)
@@ -104,16 +104,15 @@ def three_step_envelope(s: Signal, params: EnvelopeParams | None = None) -> Enve
     the classical estimators. Filter ringing can make the output dip
     slightly below zero near sharp transitions.
 
-    For bunches of 2-256 samples the staircase is never built: the
-    zero-phase pass runs from the bunch peaks, one small product per group
-    of whole bunches (``kernels`` module docstring). Besides the input,
-    memory is the envelope and the peaks. Other bunch sizes run the three
-    stages together on pieces of 2^17 samples, into one float64 buffer of
-    the padded length of which the envelope is a view. Either way neither
-    the rectified waveform nor the staircase is held at full length.
+    |x| is made in one float64 buffer of the padded length, and the
+    envelope over it in place. For bunches of 2-256 samples the staircase is
+    never built: the zero-phase pass runs from the bunch peaks, one small
+    product per group of whole bunches (``kernels`` module docstring). Other
+    bunch sizes turn |x| into the staircase in place and filter it in pieces
+    of 2^17 samples. Either way no second full-length array is held.
     ``three_step_stages`` returns all three stages; its envelope, filtered
-    at the full rate, agrees with this one to within the float64
-    recurrence's rounding, not bit for bit.
+    at the full rate, is this one bit for bit at bunch 1 and above 256, and
+    to within the float64 recurrence's rounding otherwise.
     """
     p = params if params is not None else EnvelopeParams()
     return EnvelopeResult(_peak_hold(s, p), "three_step", asdict(p))
@@ -121,13 +120,19 @@ def three_step_envelope(s: Signal, params: EnvelopeParams | None = None) -> Enve
 
 def _peak_hold(s: Signal, p: EnvelopeParams) -> Signal:
     # Errors come in three_step_stages' order: the design's, then empty
-    # input, then the pad's, which both passes raise.
+    # input, then the pad's.
     design = butterworth_lowpass(FilterSpec(p.cutoff_hz, s.sample_rate, p.filter_order))
     if len(s) == 0:
         raise ValueError("empty input")
-    if 2 <= p.bunch_size <= kernels.HOLD:  # the group rate; the follower and larger bunches take the pieces
-        return _held_zero_phase(design, s, p.bunch_size)
-    return _zero_phase(design, s, p.bunch_size)
+    n, sos, bunch = len(s), design.sections, p.bunch_size
+    pad = _pad_for(design, n)
+    buf = np.empty(n + 2 * pad)  # padded for the piece driver, which fills it in place
+    env = np.abs(s.samples, out=buf[pad : pad + n])
+    if 2 <= bunch <= kernels.HOLD:  # the group rate; the follower and larger bunches take the pieces
+        env = _held_zero_phase(sos, env, bunch, pad)
+    else:
+        env = _zero_phase(sos, env if bunch == 1 else _bunch_peaks(env, bunch, env), buf, pad)
+    return Signal._wrap(env, s.sample_rate)
 
 
 def envelope_follower(

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .filter_design import FilterDesign
 from .kernels import FilterState
-from .signals import BunchSpec, Signal, _peaks, _rectified_peaks, bunch_max, rectify
+from .signals import BunchSpec, Signal, _peaks, bunch_max, rectify
 
 
 def _check_rate(design: FilterDesign, s: Signal) -> None:
@@ -100,36 +100,31 @@ def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
     sample rate.
     """
     _check_rate(design, s)
-    return _zero_phase(design, s)
+    x = s.samples
+    pad = _pad_for(design, len(x))
+    return Signal._wrap(_zero_phase(design.sections, x, np.empty(len(x) + 2 * pad), pad), s.sample_rate)
 
 
 # Samples per piece of the zero-phase driver. A piece's ~1 MB arrays stay in
-# cache between stages: on a 60 s input, 2^16-2^17 ran fastest, 2^14 and 2^19
-# 10-40% slower (Xeon, 2 MB L2 per core).
+# cache from its read to its write: on a 60 s input, 2^16-2^17 ran fastest,
+# 2^14 and 2^19 10-40% slower (Xeon, 2 MB L2 per core).
 _PIECE = 1 << 17
 
 
-def _zero_phase(design: FilterDesign, s: Signal, bunch: int | None = None) -> Signal:
-    """Both zero-phase passes over ``s``, or over its peak-hold staircase if ``bunch`` is given.
+def _zero_phase(sos: np.ndarray, x: np.ndarray, buf: np.ndarray, pad: int) -> np.ndarray:
+    """Both zero-phase passes of ``sos`` over x; returns a view of the n filtered samples.
 
-    ``three_step_envelope`` runs these passes for the follower's bunch of
-    1 and for bunches above ``kernels.HOLD``, and ``_held_zero_phase`` for
-    the others.
-
-    The input is cut into consecutive pieces of ``_PIECE`` samples whatever
-    the bunch, so the peak-hold envelope is bit for bit
-    ``filtfilt_zero_phase`` of the whole staircase. A piece's staircase
-    (rectify, then ``bunch``-sample maxima) is made from the whole bunches
-    it overlaps and cut to the piece. Each piece is filtered forward as soon as it is made,
+    ``buf`` holds n + 2 * pad samples, and x may be its middle, where
+    ``three_step_envelope`` stages |x| or the staircase. x is cut into
+    consecutive pieces of ``_PIECE`` samples, each filtered forward in turn,
     the first with the odd reflection pad before it and the last with the
     end pad after it (a remainder of ``pad`` samples or fewer joins the last
-    piece), the state carried across; the outputs fill one buffer of
-    n + 2 * pad samples. The backward pass runs over the same pieces in
-    reverse, in place. An input of one piece makes the two kernel calls over
-    the whole padded array, with no copy into a buffer.
+    piece), the state carried across. A piece is read before its output is
+    written where it lay in the buffer. The backward pass runs over the
+    same pieces in reverse, in place. An input of one piece makes the two
+    kernel calls over the whole padded array, with no copy into ``buf``.
     """
-    x = s.samples
-    n, pad, sos = len(x), _pad_for(design, len(x)), design.sections
+    n = len(x)
     piece = max(_PIECE, pad + 1)  # a pad needs pad + 1 samples
     cuts = [*range(0, n - pad, piece), n]
     # Piece [cuts[i], cuts[i + 1]) fills [edges[i], edges[i + 1]) of the
@@ -137,13 +132,8 @@ def _zero_phase(design: FilterDesign, s: Signal, bunch: int | None = None) -> Si
     edges = [0, *(c + pad for c in cuts[1:-1]), n + 2 * pad]
     spans = list(zip(edges, edges[1:]))
     lone = len(spans) == 1
-    buf = None if lone else np.empty(n + 2 * pad)
     for a, b, (lo, hi) in zip(cuts, cuts[1:], spans):
-        if bunch is None:
-            part = x[a:b]
-        else:  # the bunches that [a, b) overlaps
-            first, last = a - a % bunch, min(n, -(-b // bunch) * bunch)
-            part = _rectified_peaks(x[first:last], bunch)[a - first : b - first]
+        part = x[a:b]
         # The odd reflection pads, as temporaries: a pad left alive in a
         # local kept malloc from trimming its heap (clips_csv RSS +2.3 MB).
         if a == 0 or b == n:
@@ -169,7 +159,7 @@ def _zero_phase(design: FilterDesign, s: Signal, bunch: int | None = None) -> Si
         else:
             buf[lo:hi] = bwd[::-1]
         del bwd
-    return Signal._wrap(buf[pad : pad + n], s.sample_rate)
+    return buf[pad : pad + n]
 
 
 # Multiply-adds per product of the group-rate body, at most: OpenBLAS runs
@@ -178,8 +168,8 @@ def _zero_phase(design: FilterDesign, s: Signal, bunch: int | None = None) -> Si
 _BODY_MACS = 1 << 18
 
 
-def _held_zero_phase(design: FilterDesign, s: Signal, bunch: int) -> Signal:
-    """``_zero_phase(design, s, bunch)`` from the bunch peaks, at the group rate.
+def _held_zero_phase(sos: np.ndarray, env: np.ndarray, bunch: int, pad: int) -> np.ndarray:
+    """The zero-phase peak-hold envelope at the group rate, written over ``env`` = |x|; returns ``env``.
 
     For 2 <= bunch <= ``kernels.HOLD``. Groups of ``kernels.HOLD // bunch``
     whole bunches lie on the bunch grid from sample 0. A group's envelope is
@@ -189,18 +179,14 @@ def _held_zero_phase(design: FilterDesign, s: Signal, bunch: int) -> Signal:
     run the edges: the front pad forward, whose end state starts the first
     group; then the samples after the last whole group, with the end pad,
     forward from the forward scan's last state, and backward from the step
-    state, whose end state starts the backward scan. There is no staircase,
-    rectified waveform or full-rate pass: besides the input, memory is the
-    output (which holds |x| until the peaks are taken) and the n / bunch
-    peaks.
+    state, whose end state starts the backward scan. There is no staircase
+    and no full-rate pass: besides ``env``, memory is the n / bunch peaks.
     """
-    x = s.samples
-    n, pad, sos = len(x), _pad_for(design, len(x)), design.sections
+    n = len(env)
     group, gamma, back, steps, to_system, to_delay = kernels._held_operators(kernels._key(sos), bunch)
     width = len(gamma)  # peaks per group
     span, states = width * bunch, len(back) - width
     count = n // span  # whole groups
-    env = np.abs(x)
     peaks = _peaks(env, bunch)
     front = 2.0 * peaks[0] - peaks[np.arange(pad, 0, -1) // bunch]  # the odd reflection of samples pad..1
     _, z = kernels.sos_filter(sos, front, _step_state(sos, front[0]))
@@ -233,7 +219,7 @@ def _held_zero_phase(design: FilterDesign, s: Signal, bunch: int) -> Signal:
         step = max(1, _BODY_MACS // group.size)
         for i in range(0, count, step):
             np.matmul(rows[i : i + step], group, out=body[i : i + step])
-    return Signal._wrap(env, s.sample_rate)
+    return env
 
 
 def chunked_envelope_stream(

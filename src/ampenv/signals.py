@@ -123,8 +123,3 @@ def _bunch_peaks(x: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     out[full * n :] = peaks[full:]
     return out
 
-
-def _rectified_peaks(x: np.ndarray, n: int) -> np.ndarray:
-    """Rectify then bunch-max raw samples into one new array: the peak-hold staircase of x."""
-    out = np.abs(x)
-    return out if n == 1 else _bunch_peaks(out, n, out)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,20 @@ class TestCompareMethods:
         sig, _ = generate(SyntheticSpec(duration_s=0.3))
         with pytest.raises(ValueError, match="^no reference available: supply truth or a three_step config$"):
             compare_methods(sig, None, [("rms", {"window_samples": 50}), ("hilbert", {})])
+        assert calls == []
+
+    def test_empty_signal_is_rejected_before_any_method_runs(self, monkeypatch):
+        calls = []
+
+        def counted(fn):
+            return lambda *a: calls.append(1) or fn(*a)
+
+        monkeypatch.setattr(bench, "ESTIMATORS", {m: counted(fn) for m, fn in bench.ESTIMATORS.items()})
+        empty = Signal(np.zeros(0), 44100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^empty input$"):
+                compare_methods(empty, empty, [("rms", {})])
         assert calls == []
 
     def test_no_methods_configured(self):

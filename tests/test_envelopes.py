@@ -142,13 +142,20 @@ class TestThreeStep:
     )
     @pytest.mark.parametrize(
         "params",
-        [*PRESETS.values(), EnvelopeParams(200, 20.0)],  # with whale's (50, 300 Hz), file_long's settings
-        ids=[*PRESETS, "bunch200-20Hz"],
+        [
+            *PRESETS.values(),
+            EnvelopeParams(200, 20.0),  # with whale's (50, 300 Hz), file_long's settings
+            EnvelopeParams(1, 150.0),
+            EnvelopeParams(300, 100.0),
+            EnvelopeParams(1003, 20.0),
+        ],
+        ids=[*PRESETS, "bunch200-20Hz", "bunch1-150Hz", "bunch300-100Hz", "bunch1003-20Hz"],
     )
     def test_deviation_within_the_recurrence(self, params, monkeypatch):
-        # Pieces of 4,096 samples once made the envelope cross piece
-        # carries. Every bunch here now runs at the group rate, which has no
-        # pieces, so the patch no longer reaches the envelope. The bar is
+        # The presets and bunch 200 run at the group rate, which has no
+        # pieces. The follower's bunch of 1 and bunches above kernels.HOLD
+        # filter the staircase in pieces, and pieces of 4,096 samples make
+        # them carry the state across seven piece edges each way. The bar is
         # that of test_blocked_deviation_within_the_recurrence.
         monkeypatch.setattr(filtering, "_PIECE", 4096)
         rate = 44100.0
@@ -176,7 +183,7 @@ class TestThreeStep:
         info = kernels._held_operators.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
-    @pytest.mark.parametrize("bunch", [2, 50, 256])
+    @pytest.mark.parametrize("bunch", [1, 2, 50, 256, 257])
     def test_errors_come_in_the_stages_order(self, bunch):
         # The design's error, then empty input, then the pad (27 samples).
         cases = [

@@ -397,7 +397,7 @@ class TestPieces:
         sig = Signal(np.sin(np.arange(n) * 0.01), 44100.0)
         pad = default_pad_len(make_design())
         bound = 8 * (n + 2 * pad) + n + 4 * 8 * filtering._PIECE + (1 << 18)
-        for bunch in (1, 50):
+        for bunch in (1, 50, 300):
             params = EnvelopeParams(bunch)
             three_step_envelope(sig, params)  # operators built outside the trace
             tracemalloc.start()
