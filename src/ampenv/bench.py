@@ -58,6 +58,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in SYNTH_KINDS:
             raise ValueError("unknown synthetic kind: %r (use one of %s)" % (self.kind, ", ".join(SYNTH_KINDS)))
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer, got %r" % (self.seed,))
         carriers = self.carrier_hz
         if np.isscalar(carriers):
             carriers = (float(carriers),)
@@ -263,7 +265,9 @@ def compare_methods(
 
 
 def measure_runtime_ms(fn, repeats: int = RUNTIME_REPEATS, warmup: int = RUNTIME_WARMUP) -> float:
-    """Median wall time of ``fn()`` over ``repeats`` calls after ``warmup``."""
+    """Median wall time of ``fn()`` over ``repeats`` calls after ``warmup``; ``repeats`` must be at least 1."""
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
     for _ in range(warmup):
         fn()
     times = np.empty(repeats)

@@ -135,11 +135,11 @@ def frequency_response(design: FilterDesign, freqs_hz) -> np.ndarray:
     """Complex response H(e^{j 2 pi f / fs}) at each frequency.
 
     Computed as the product over sections at the design's sample rate.
-    Frequencies must lie in [0, Nyquist].
+    Frequencies must be finite and lie in [0, Nyquist].
     """
     fs = design.sample_rate_hz
     f = np.atleast_1d(np.asarray(freqs_hz, dtype=np.float64))
-    if f.size and (f.min() < 0.0 or f.max() > fs / 2.0):
+    if f.size and not (f.min() >= 0.0 and f.max() <= fs / 2.0):  # NaN fails both
         raise ValueError("frequency out of band: must be within [0, %g] Hz" % (fs / 2.0))
     z1 = np.exp(-2j * np.pi * f / fs)
     z2 = z1 * z1

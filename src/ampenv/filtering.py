@@ -55,18 +55,10 @@ def filter_causal(
 def _step_state(sections: np.ndarray, level: float) -> np.ndarray:
     """Section states at the fixed point for a constant input ``level``.
 
-    Solves, per section, the steady state of the transposed direct-form II
-    recurrence under constant drive, cascading the section's DC output into
-    the next section's input.
+    Returns one (s0, s1) delay pair per section: ``level`` times the rest
+    state under a unit input that ``kernels`` solves once per design.
     """
-    z = np.empty((sections.shape[0], 2))
-    u = level
-    for i, (b0, b1, b2, a1, a2) in enumerate(sections):
-        y = u * (b0 + b1 + b2) / (1.0 + a1 + a2)
-        z[i, 0] = (b1 + b2) * u - (a1 + a2) * y
-        z[i, 1] = b2 * u - a2 * y
-        u = y
-    return z
+    return level * kernels._block_operators(kernels._key(sections))[7]
 
 
 def default_pad_len(design: FilterDesign) -> int:
@@ -192,13 +184,10 @@ def _held_zero_phase(sos: np.ndarray, env: np.ndarray, bunch: int, pad: int) -> 
     _, z = kernels.sos_filter(sos, front, _step_state(sos, front[0]))
     rows = np.empty((count, 2 * states + width))  # [w, z, u] per group
     rows[:, 2 * states :] = peaks[: count * width].reshape(count, width)
-    if count:  # the scans run in the system's basis, sos_filter in delay pairs
-        rows[0, states : 2 * states] = to_system.dot(z.reshape(-1))
-        added = rows[:, 2 * states :] @ gamma
-        added[:1] += rows[0, states : 2 * states] @ steps[0]
-        kernels._scan(added, steps)
-        rows[1:, states : 2 * states] = added[:-1]
-        z = to_delay.dot(added[-1]).reshape(-1, 2)
+    z = to_system.dot(z.reshape(-1))  # the scans run in the system's basis, sos_filter in delay pairs
+    forward = np.vstack((z, kernels._scan(rows[:, 2 * states :] @ gamma, steps, z)))  # z at each group's start
+    rows[:, states : 2 * states] = forward[:-1]
+    z = to_delay.dot(forward[-1]).reshape(-1, 2)  # and past the last
     # The samples after the last whole group, then the end pad: the odd
     # reflection of the pad samples before the last, which may reach back
     # into the groups.
@@ -209,12 +198,9 @@ def _held_zero_phase(sos: np.ndarray, env: np.ndarray, bunch: int, pad: int) -> 
     bwd, w = kernels.sos_filter(sos, fwd[::-1], _step_state(sos, fwd[-1]))
     env[count * span :] = bwd[: pad - 1 : -1]
     if count:
-        w = to_system.dot(w.reshape(-1))
-        added = rows[:0:-1, states:] @ back  # from the last group back to the second
-        added[:1] += w @ steps[0]
-        kernels._scan(added, steps)
-        rows[-1, :states] = w
-        rows[:-1, :states] = added[::-1]
+        rows[-1, :states] = to_system.dot(w.reshape(-1))
+        # From the last group back to the second.
+        rows[:-1, :states] = kernels._scan(rows[:0:-1, states:] @ back, steps, rows[-1, :states])[::-1]
         body = env[: count * span].reshape(count, span)
         step = max(1, _BODY_MACS // group.size)
         for i in range(0, count, step):

@@ -63,6 +63,10 @@ and the samples after the last whole group go through ``sos_filter``. The
 follower (N = 1) and bunches above ``HOLD`` keep the full-rate passes: at
 N = 1 this form measured 0.5-1.0x the block kernel, and past ``HOLD`` its
 long-double build grows as L^2.
+
+One builder serves both caches: ``_series`` doubles out the rows (A^k B)^T
+and C A^k and the powers (A^k)^T, from which ``_held_operators`` takes
+R T R Y's A^t and A^L, and ``_steps`` squares a transition into scan steps.
 """
 
 from __future__ import annotations
@@ -83,9 +87,10 @@ def _state_space(sos: np.ndarray):
     """The cascade as one system z' = A z + B x, y = C z + D x, in np.longdouble.
 
     Also returns the maps from the recurrence's (s0, s1) states to the
-    system's and back. A section with complex poles re +- i im gets the
-    basis in which its own transition is the rotation-scaling
-    [[re, -im], [im, re]].
+    system's and back, and the (s0, s1) at rest under a unit input, each
+    section's DC output the next one's input. A section with complex poles
+    re +- i im gets the basis in which its own transition is the
+    rotation-scaling [[re, -im], [im, re]].
     In the delay-pair basis the block transition A^L of a low cutoff has
     entries near L that cancel, so float64 rounding in the block carry is
     amplified; the rotation form has none.
@@ -98,7 +103,11 @@ def _state_space(sos: np.ndarray):
     d = ld(1)
     basis = np.eye(n, dtype=ld)
     inverse = np.eye(n, dtype=ld)
+    rest, u = np.empty((len(sos), 2), ld), ld(1)  # u: the section's input at rest
     for k, (b0, b1, b2, a1, a2) in enumerate(np.asarray(sos, ld)):
+        y = u * (b0 + b1 + b2) / (1 + a1 + a2)
+        rest[k] = (b1 + b2) * u - (a1 + a2) * y, b2 * u - a2 * y
+        u = y
         s0, s1 = 2 * k, 2 * k + 1
         cy = b0 * c
         cy[s0] += 1
@@ -114,7 +123,30 @@ def _state_space(sos: np.ndarray):
             im = np.sqrt(im2)
             basis[s0, s1], basis[s1, s1] = -a1 / (2 * im), -a2 / im
             inverse[s0, s1], inverse[s1, s1] = -a1 / (2 * a2), -im / a2
-    return inverse @ a @ basis, inverse @ b, c @ basis, d, inverse, basis
+    return inverse @ a @ basis, inverse @ b, c @ basis, d, inverse, basis, rest
+
+
+def _series(a: np.ndarray, b: np.ndarray, c: np.ndarray, count: int):
+    """(ab, ca, powers): rows k < count of (A^k B)^T and C A^k, and (A^k)^T for k <= count, a power of two."""
+    ab = b[None, :]  # row k: (A^k B)^T
+    ca = c[None, :]  # row k: C A^k
+    powers = np.eye(len(a), dtype=a.dtype)[None]  # powers[k]: (A^k)^T
+    power = a
+    while len(ab) < count:
+        ab = np.vstack((ab, ab @ power.T))
+        ca = np.vstack((ca, ca @ power))
+        powers = np.concatenate((powers, powers @ power.T))
+        power = power @ power
+    return ab, ca, np.concatenate((powers, power.T[None]))
+
+
+def _steps(power: np.ndarray) -> tuple:
+    """``_scan``'s steps (P^(2^j))^T, P = ``power``, column-major: a row-major copy rounds the scan otherwise."""
+    steps = []
+    for _ in range(_SCAN_STEPS):
+        steps.append(_shared(np.asfortranarray(power.T)))
+        power = power @ power
+    return tuple(steps)
 
 
 @functools.lru_cache(maxsize=16)
@@ -122,38 +154,26 @@ def _block_operators(key: bytes):
     """Float64 operators of the cascade whose sos array has these bytes.
 
     Built once per design, in np.longdouble, and rounded once to float64.
-    Returns (h, observe, carry, powers, steps, to_system, to_delay): h is
-    the impulse response after L - 1 zeros; observe's column k is C A^k;
-    the state a block's first k inputs add is those inputs @ carry[L - k :
-    2L - k], whose last L - k rows are zeros; powers[k] is (A^k)^T for k
-    up to L; steps[j] is (A^(L * 2^j))^T, for the scan over blocks;
-    to_system and to_delay map the (s0, s1) delay-pair states to the
-    system's and back.
+    Returns (h, observe, carry, powers, steps, to_system, to_delay, rest):
+    h is the impulse response after L - 1 zeros; observe's column k is
+    C A^k; the state a block's first k inputs add is those inputs @
+    carry[L - k : 2L - k], whose last L - k rows are zeros; powers[k] is
+    (A^k)^T for k up to L; steps[j] is (A^(L * 2^j))^T, for the scan over
+    blocks; to_system and to_delay map the (s0, s1) delay-pair states to
+    the system's and back; rest holds the delay pairs at rest under 1.
     """
-    a, b, c, d, to_system, to_delay = _state_space(np.frombuffer(key).reshape(-1, 5))
-    ab = b[None, :]  # row k: (A^k B)^T
-    ca = c[None, :]  # row k: C A^k
-    powers = np.eye(len(a), dtype=a.dtype)[None]  # powers[k]: (A^k)^T
-    power = a
-    while len(ab) < BLOCK:
-        ab = np.vstack((ab, ab @ power.T))
-        ca = np.vstack((ca, ca @ power))
-        powers = np.concatenate((powers, powers @ power.T))
-        power = power @ power
-    powers = np.concatenate((powers, power.T[None]))
+    a, b, c, d, to_system, to_delay, rest = _state_space(np.frombuffer(key).reshape(-1, 5))
+    ab, ca, powers = _series(a, b, c, BLOCK)
     h = np.concatenate((np.zeros(BLOCK - 1), [d], ca[:-1] @ b))
-    steps = []
-    for _ in range(_SCAN_STEPS):
-        steps.append(_shared(power.T))
-        power = power @ power
     return (
         _shared(h),
         _shared(ca.T),
         _shared(np.concatenate((ab[::-1], np.zeros_like(ab)))),
         _shared(powers),
-        tuple(steps),
+        _steps(powers[BLOCK].T),
         _shared(to_system),
         _shared(to_delay),
+        _shared(rest),
     )
 
 
@@ -162,42 +182,29 @@ def _held_operators(key: bytes, bunch: int):
     """Float64 operators of the zero-phase pass over a hold of ``bunch``-sample peaks.
 
     A group is G = ``HOLD // bunch`` whole bunches, L = G * bunch samples
-    (module docstring). Built once per (design, bunch) in np.longdouble and
-    rounded once to float64. Returns (group, gamma, back, steps, to_system,
-    to_delay): a group's envelope is [w, z, u] @ group, of shape (2S + G, L);
-    the forward state at the next group's start is z @ steps[0] + u @ gamma;
-    the backward state at this group's start is w @ steps[0] + [z, u] @
-    back; steps[j] is (A^(L * 2^j))^T, for the scans over groups; to_system
-    and to_delay are ``_block_operators``'.
+    (module docstring). Built once per (design, bunch) in np.longdouble,
+    from ``_series`` over ``HOLD`` samples, and rounded once to float64.
+    Returns (group, gamma, back, steps, to_system, to_delay): a group's
+    envelope is [w, z, u] @ group, of shape (2S + G, L); the forward state
+    at the next group's start is z @ steps[0] + u @ gamma; the backward
+    state at this group's start is w @ steps[0] + [z, u] @ back; steps[j]
+    is (A^(L * 2^j))^T, for the scans over groups; to_system and to_delay
+    are ``_block_operators``'.
     """
     a, b, c, d = _state_space(np.frombuffer(key).reshape(-1, 5))[:4]
     groups = HOLD // bunch
     span = groups * bunch
-    ab = b[None, :]  # row k: (A^k B)^T
-    ca = c[None, :]  # row k: C A^k
-    squares = []  # A^(2^k)
-    power = a
-    while len(ca) < 2 * span:
-        ab = np.vstack((ab, ab @ power.T))
-        ca = np.vstack((ca, ca @ power))
-        squares.append(power)
-        power = power @ power
+    ab, ca, powers = _series(a, b, c, HOLD)
+    ca = np.vstack((ca, ca @ powers[HOLD].T))  # C A^k for k < 2 HOLD: h covers 2L samples
     ab, observe = ab[:span], ca[:span]  # K R, transposed, and Y
     h = np.concatenate(([d], ca[: 2 * span - 1] @ b))  # the impulse response, 2L samples
-    t = np.arange(span)
     # R T R Y: row t is sum over k <= L - 1 - t of h[k] C A^(t + k), so
-    # (sum of h[k] C A^k) A^t, with A^t taken from the squares bit by bit.
-    rtry = np.cumsum(h[:span, None] * observe, axis=0)[::-1]
-    advance = np.eye(len(a), dtype=a.dtype)  # A^L
-    for k, square in enumerate(squares):
-        odd = t >> k & 1 == 1
-        rtry[odd] = rtry[odd] @ square
-        if span >> k & 1:
-            advance = advance @ square
+    # (sum of h[k] C A^k) A^t, with (A^t)^T from the powers table.
+    rtry = (powers[:span] @ np.cumsum(h[:span, None] * observe, axis=0)[::-1, :, None])[..., 0]
     # T E: column i is g from sample i * bunch on, g the response to one bunch of ones.
     g = np.cumsum(h[:span])
     g[bunch:] -= g[:-bunch].copy()
-    lags = t[:, None] - bunch * np.arange(groups)
+    lags = np.arange(span)[:, None] - bunch * np.arange(groups)
     zeros = np.zeros(span, a.dtype)
     held = np.concatenate((zeros, g))[span + lags]
     # R T R T E: row t of column i is the sum over s >= t - i * bunch of
@@ -206,16 +213,12 @@ def _held_operators(key: bytes, bunch: int):
     full = np.convolve(h, g[::-1])
     left = np.concatenate((g, zeros))[span + lags.T] @ ab  # row i: that state
     rtrte = full[span - 1 - lags] - observe[::-1] @ left.T
-    steps = []
-    for _ in range(_SCAN_STEPS):
-        steps.append(_shared(advance.T))
-        advance = advance @ advance
     return (
         _shared(np.hstack((observe[::-1], rtry, rtrte)).T),
         _shared(ab[::-1].reshape(groups, bunch, -1).sum(axis=1)),
         _shared(np.vstack((observe.T @ ab, held.T @ ab))),
-        tuple(steps),
-        *_block_operators(key)[5:],
+        _steps(powers[span].T),
+        *_block_operators(key)[5:7],
     )
 
 
@@ -244,13 +247,14 @@ def _advance(r: int, carry: np.ndarray, powers: np.ndarray) -> np.ndarray:
     return np.concatenate((carry[BLOCK - r : 2 * BLOCK - r], powers[r]))
 
 
-def _scan(added: np.ndarray, steps) -> np.ndarray:
+def _scan(added: np.ndarray, steps, start: np.ndarray) -> np.ndarray:
     """Sum s[i + 1] = s[i] @ steps[0] + added[i] in place over doubling spans; returns ``added``.
 
-    ``added[0]`` already holds the share of the first state s[0]; on return
-    ``added[i]`` is s[i + 1]. ``steps[j]`` is ``steps[0]`` to the power
-    2^j. A Hillis-Steele scan: no Python step per row.
+    s[0] is ``start``; on return ``added[i]`` is s[i + 1]. ``steps[j]`` is
+    ``steps[0]`` to the power 2^j. A Hillis-Steele scan: no Python step
+    per row.
     """
+    added[:1] += start @ steps[0]
     span = 1
     for step in steps:
         if span >= len(added):
@@ -285,9 +289,7 @@ def _sos_blocked(sos: np.ndarray, x: np.ndarray, start: np.ndarray, chained: boo
             np.dot(rows[k - 1], advance, out=starts[k])
         y = np.matmul(rows.reshape(-1, GROUP, rows.shape[1]), _output_matrix(h, observe))
     else:
-        added = rows[:-1, :BLOCK] @ carry[:BLOCK]
-        added[:1] += starts[0] @ steps[0]
-        starts[1:] = _scan(added, steps)
+        starts[1:] = _scan(rows[:-1, :BLOCK] @ carry[:BLOCK], steps, starts[0])
         y = rows @ _output_matrix(h, observe)
     end = rows[n_blocks - 1].dot(_advance(r, carry, powers))
     edge = starts[(n_blocks - 1) // GROUP * GROUP].copy() if count % (GROUP * BLOCK) else end
@@ -342,7 +344,7 @@ def sos_filter(sos: np.ndarray, x: np.ndarray, zi):
     strided view. Inputs are not mutated.
     """
     key = _key(sos)
-    to_system, to_delay = _block_operators(key)[5:]
+    to_system, to_delay = _block_operators(key)[5:7]
     if not isinstance(zi, FilterState):
         if not len(x):
             return np.empty(0), np.array(zi, dtype=np.float64)

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from ampenv import kernels
 from ampenv.filtering import _step_state
 
 
@@ -25,6 +26,39 @@ def recurrence(sos, x, zi, dtype=np.float64):
             y[i] = yi
         zf[k] = s0, s1
     return np.array(y, dtype=dtype), zf
+
+
+def held_operators(sos, bunch, hold):
+    """The group-rate operators of the zero-phase peak hold, from the long-double recurrence over one group.
+
+    A group is G = ``hold // bunch`` bunches, L = G * bunch samples. The
+    group runs once for each unit input of [w, z, u]: the backward state
+    entering from its end, the forward start state and its G peaks, each
+    held for its bunch. Both passes run the recurrence z' = A z + B x,
+    y = C z + D x of the system ``kernels._state_space`` builds, sample by
+    sample in np.longdouble: forward from z over the held peaks, then
+    backward from w over the forward output reversed. (The delay-pair
+    recurrence is no reference here: at 20 Hz its cancellations put it
+    several float64 ulps from the rotation form, even in np.longdouble.)
+    Returns (O, Gamma, [M_z; M_u], A^L), laid out as
+    ``kernels._held_operators`` lays out (group, gamma, back, steps[0]):
+    row j of each is what unit input j gives, so A^L comes transposed.
+    """
+    a, b, c, d = kernels._state_space(np.asarray(sos, np.float64))[:4]
+    states, width = len(a), hold // bunch
+    units = np.eye(2 * states + width, dtype=a.dtype)  # column j: unit input j
+    held = np.repeat(units[2 * states :], bunch, axis=0)  # row t: the input at sample t
+
+    def run(x, z):
+        y = np.empty_like(x)
+        for t, xt in enumerate(x):
+            y[t] = c @ z + d * xt
+            z = a @ z + b[:, None] * xt
+        return y, z
+
+    fwd, z = run(held, units[states : 2 * states])
+    bwd, w = run(fwd[::-1], units[:states])
+    return bwd[::-1].T, z[:, 2 * states :].T, w[:, states:].T, w[:, :states].T
 
 
 def peak_hold_envelope(sos, x, bunch, pad, dtype=np.float64):

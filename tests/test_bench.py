@@ -90,6 +90,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match=message):
             SyntheticSpec(**kwargs)
 
+    @pytest.mark.parametrize("kind", ["am_tone", "noise_burst"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "7", None])
+    def test_seed_must_be_a_non_negative_integer(self, kind, seed):
+        # Checked for every kind, though only noise_burst draws from it.
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+            SyntheticSpec(kind, seed=seed)
+
     def test_n_samples_is_rounded_duration_times_rate(self):
         assert SyntheticSpec(duration_s=2.0, sample_rate_hz=44100.0).n_samples == 88200
         assert SyntheticSpec(duration_s=0.01, sample_rate_hz=8000.0).n_samples == 80
@@ -300,6 +307,17 @@ class TestRuntime:
     def test_measure_runtime_positive(self):
         ms = measure_runtime_ms(lambda: sum(range(1000)), repeats=3, warmup=1)
         assert ms >= 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_no_timed_call_is_rejected(self, repeats):
+        # The median of no times would be NaN, with a "Mean of empty slice" warning.
+        from ampenv import three_step_runtime_ms
+
+        with pytest.raises(ValueError, match="^repeats must be at least 1$"):
+            measure_runtime_ms(lambda: None, repeats=repeats)
+        with pytest.raises(ValueError, match="^repeats must be at least 1$"):
+            three_step_runtime_ms(0.01, repeats=repeats)
 
     def test_pipeline_scales_linearly_within_2x(self):
         from ampenv import three_step_runtime_ms

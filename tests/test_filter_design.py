@@ -153,6 +153,8 @@ class TestValidation:
             frequency_response(design, [23000.0])
         with pytest.raises(ValueError, match="frequency out of band"):
             frequency_response(design, [-1.0])
+        with pytest.raises(ValueError, match="frequency out of band"):
+            frequency_response(design, [np.nan])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

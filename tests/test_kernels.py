@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import has_extended_precision, recurrence
+from oracles import has_extended_precision, held_operators, recurrence
 
 from ampenv import FilterSpec, butterworth_lowpass, kernels
 from ampenv.filtering import _step_state
@@ -13,7 +13,7 @@ def sections(cutoff_hz):
 
 def blocked_in_delay_pairs(sos, x, zi, chained):
     """kernels._sos_blocked from and to (s0, s1) delay pairs, converted as sos_filter does."""
-    to_system, to_delay = kernels._block_operators(kernels._key(sos))[5:]
+    to_system, to_delay = kernels._block_operators(kernels._key(sos))[5:7]
     y, end, _ = kernels._sos_blocked(sos, x, to_system.dot(np.asarray(zi, np.float64).reshape(-1)), chained)
     return y, to_delay.dot(end).reshape(-1, 2)
 
@@ -55,6 +55,25 @@ def test_block_lengths_agree_with_the_recurrence(n, rng):
         assert got.shape == (n,)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.max(np.abs(zf - expected_zf)) <= 1e-12 * np.max(np.abs(expected_zf))
+
+
+@pytest.mark.skipif(
+    not has_extended_precision,
+    reason="np.longdouble is float64 here, so there is no extended-precision reference",
+)
+@pytest.mark.parametrize("cutoff_hz, order", [(20.0, 4), (150.0, 4), (1000.0, 8)])
+@pytest.mark.parametrize("bunch", [2, 7, 35, 50, 200, 256])
+def test_held_operators_within_an_ulp_of_the_recurrence(cutoff_hz, order, bunch):
+    # Each operator is built in np.longdouble and rounded once, so it lies
+    # within an ulp of its largest entry from one group run through the
+    # long-double recurrence.
+    sos = butterworth_lowpass(FilterSpec(cutoff_hz, 44100.0, order)).sections
+    group, gamma, back, steps = kernels._held_operators(kernels._key(sos), bunch)[:4]
+    expected = held_operators(sos, bunch, kernels.HOLD)
+    for name, got, want in zip(("O", "Gamma", "M", "A^L"), (group, gamma, back, steps[0]), expected):
+        assert got.shape == want.shape, name
+        ulps = np.max(np.abs(got - want)) / np.spacing(np.float64(np.max(np.abs(want))))
+        assert ulps <= 1.0, "%s: %.3g ulp" % (name, ulps)
 
 
 def test_carried_runs_cut_on_the_group_grid_reproduce_the_uncut_run(rng):
