@@ -58,7 +58,7 @@ def _step_state(sections: np.ndarray, level: float) -> np.ndarray:
     Returns one (s0, s1) delay pair per section: ``level`` times the rest
     state under a unit input that ``kernels`` solves once per design.
     """
-    return level * kernels._block_operators(kernels._key(sections))[7]
+    return level * kernels._design(kernels._key(sections))[3]
 
 
 def default_pad_len(design: FilterDesign) -> int:
@@ -98,8 +98,12 @@ def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
 
 
 # Samples per piece of the zero-phase driver. A piece's ~1 MB arrays stay in
-# cache from its read to its write: on a 60 s input, 2^16-2^17 ran fastest,
-# 2^14 and 2^19 10-40% slower (Xeon, 2 MB L2 per core).
+# cache from its read to its write. A 60 s filtfilt_zero_phase at 20 and
+# 300 Hz, one BLAS thread, 64-sample scan blocks (Xeon, 2 MB L2 per core),
+# medians of four sweeps: 2^15 40.7-42.0 ms, 2^16 40.0-41.2, 2^17 42.1-45.7,
+# 2^18 45.3-46.9. 2^16 led 2^17 by 2.1-4.5 ms, but within the run-to-run spread
+# in three of the four, so the value stays. 2^14 and 2^19 were 10-40% slower
+# at 128-sample blocks.
 _PIECE = 1 << 17
 
 

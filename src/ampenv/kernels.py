@@ -4,13 +4,13 @@
 the layer perfbench traces. It uses the block formulation of Nehab et al.,
 "GPU-efficient recursive filtering and summed-area tables" (ACM TOG 2011).
 The cascade is one linear system with two states per section. A block of
-``BLOCK`` samples has as output a lower-triangular Toeplitz matrix of the
-impulse response times the block's input, plus an observability matrix
-times the state at the block's start. The operators are built once per
-design in ``np.longdouble`` and rounded once to float64.
+L samples has as output a lower-triangular Toeplitz matrix of the impulse
+response times the block's input, plus an observability matrix times the
+state at the block's start. The operators are built once per design and
+block length in ``np.longdouble`` and rounded once to float64.
 
 One pass, ``_sos_blocked``, runs every call. It lays x out as one row
-per block: the block's ``BLOCK`` inputs (the last block's zero-padded),
+per block: the block's L inputs (the last block's zero-padded),
 then room for the block's start state. It fills those states from the
 start state in one of two ways, below; every block's output is then its
 row @ one (L + S, L) matrix, and the end state is the last row @ the
@@ -20,24 +20,30 @@ see exist only at ``sos_filter``'s boundary, where ``zi`` comes in and the
 final state goes out. The state the caller passes picks the way: a
 ``FilterState`` gets the chain, delay pairs get the scan.
 
-- The chain, for streams. Each start state is the one before @ the block
-  advance, one Python step a block. The outputs are one (GROUP, L + S)
-  product per group of ``GROUP`` blocks, a short last group padded with
-  zero rows, so a block always sits at the row its place in its group
-  gives. A group's outputs and end state then depend only on its inputs
-  and its start state, never on where a call starts. The groups are laid
-  on the stream's own sample grid: a returned ``FilterState`` keeps the
-  open group's start state and inputs, and the next call runs them again,
-  so a stream cut anywhere reproduces the uncut run bit for bit. One
-  product over all the blocks would not: under OpenBLAS's Haswell and
-  Nehalem kernels how a row of a GEMM rounds depends on the product's
-  height and on the row's place in it.
-- The scan, for the offline passes. The start states are summed by
-  doubling (a Hillis-Steele scan), with no Python step per block, and the
-  outputs are one flat product over all rows. On 2^17-sample pieces that
-  is ~2x faster than the chain, but a block's rounding then depends on
-  where it sits in the input. The product stays flat: the chain's grouped
-  one is over 2x slower under OpenBLAS's Haswell kernels.
+- The chain, for streams, on blocks of ``BLOCK`` = 128 samples. Each
+  start state is the one before @ the block advance, one Python step a
+  block. The outputs are one (GROUP, L + S) product per group of
+  ``GROUP`` blocks, a short last group padded with zero rows, so a block
+  always sits at the row its place in its group gives. A group's outputs
+  and end state then depend only on its inputs and its start state, never
+  on where a call starts. The groups are laid on the stream's own sample
+  grid: a returned ``FilterState`` keeps the open group's start state and
+  inputs, and the next call runs them again, so a stream cut anywhere
+  reproduces the uncut run bit for bit. One product over all the blocks
+  would not: under OpenBLAS's Haswell and Nehalem kernels how a row of a
+  GEMM rounds depends on the product's height and on the row's place in
+  it.
+- The scan, for the offline passes, on blocks of ``_SCAN_BLOCK`` = 64
+  samples. The start states are summed by doubling (a Hillis-Steele
+  scan), with no Python step per block, and the outputs are one flat
+  product over all rows. On 2^17-sample pieces that is ~2x faster than
+  the chain, but a block's rounding then depends on where it sits in the
+  input. The product stays flat: the chain's grouped one is over 2x
+  slower under OpenBLAS's Haswell kernels.
+
+A shorter block halves the output product's work a sample, 2(L + S)
+flops, and doubles the blocks whose start states are found.
+``_block_operators`` gives the measured reason for each length.
 
 The peak-hold envelope runs at the group rate. Its staircase is a hold of
 one peak per bunch of N samples, filtered forward and then backward, and
@@ -76,8 +82,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-BLOCK = 128  # samples per block, a power of two: A^BLOCK is a repeated square
+BLOCK = 128  # samples per block of the chain, a power of two: A^BLOCK is a repeated square
 GROUP = 4  # blocks per group of the chain: one output GEMM of this many rows
+_SCAN_BLOCK = 64  # samples per block of the scan, a power of two
 _SPAN = 1 << 15  # samples per chained pass: caps its rows; any multiple of GROUP * BLOCK gives the same bits
 _SCAN_STEPS = 48  # block-transition powers kept: the scan covers 2^48 blocks
 HOLD = 256  # samples per group of the held zero-phase pass, at most: HOLD // bunch whole bunches
@@ -150,30 +157,55 @@ def _steps(power: np.ndarray) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _block_operators(key: bytes):
-    """Float64 operators of the cascade whose sos array has these bytes.
+def _design(key: bytes):
+    """The cascade whose sos array has these bytes, once per design.
 
-    Built once per design, in np.longdouble, and rounded once to float64.
-    Returns (h, observe, carry, powers, steps, to_system, to_delay, rest):
-    h is the impulse response after L - 1 zeros; observe's column k is
-    C A^k; the state a block's first k inputs add is those inputs @
+    Returns ((a, b, c, d), to_system, to_delay, rest): ``_state_space``'s
+    system in np.longdouble, read-only, from which ``_block_operators``
+    and ``_held_operators`` build every block length's and bunch's
+    operators; then its basis maps and rest state rounded once to float64.
+    None of these depends on a block length.
+    """
+    *system, to_system, to_delay, rest = _state_space(np.frombuffer(key).reshape(-1, 5))
+    for part in system[:3]:
+        part.setflags(write=False)
+    return tuple(system), _shared(to_system), _shared(to_delay), _shared(rest)
+
+
+@functools.lru_cache(maxsize=32)
+def _block_operators(key: bytes, length: int):
+    """Float64 operators of the cascade whose sos array has these bytes, on blocks of ``length`` samples.
+
+    Built once per (design, block length), in np.longdouble from the
+    design's system, and rounded once to float64. Two lengths are used,
+    each timed at order 4 on one BLAS thread of a 2-core Xeon VM:
+
+    - The scan's ``_SCAN_BLOCK`` = 64. One 2^17-sample scanned call took
+      a median of 0.77 ms at 64-sample blocks, 0.97 at 32, 1.02 at 128 and
+      2.45 at 256: below 64 the scan's doubling steps and the per-block
+      rows cost more than the output product saves.
+    - The chain's ``BLOCK`` = 128, in groups of ``GROUP`` = 4. At 64 the
+      chain takes a Python step for twice as many blocks, and a stream of
+      200 chunks of 1-200 bunches ran within 3% of 128 (31.3 ms in groups
+      of 8, 30.7 in groups of 4, against 31.6). That does not pay for
+      changing every streamed bit, which CI checks under four core types.
+
+    Returns (h, observe, carry, powers, steps), for L = ``length``: h is
+    the impulse response after L - 1 zeros; observe's column k is C A^k;
+    the state a block's first k inputs add is those inputs @
     carry[L - k : 2L - k], whose last L - k rows are zeros; powers[k] is
     (A^k)^T for k up to L; steps[j] is (A^(L * 2^j))^T, for the scan over
-    blocks; to_system and to_delay map the (s0, s1) delay-pair states to
-    the system's and back; rest holds the delay pairs at rest under 1.
+    blocks.
     """
-    a, b, c, d, to_system, to_delay, rest = _state_space(np.frombuffer(key).reshape(-1, 5))
-    ab, ca, powers = _series(a, b, c, BLOCK)
-    h = np.concatenate((np.zeros(BLOCK - 1), [d], ca[:-1] @ b))
+    a, b, c, d = _design(key)[0]
+    ab, ca, powers = _series(a, b, c, length)
+    h = np.concatenate((np.zeros(length - 1), [d], ca[:-1] @ b))
     return (
         _shared(h),
         _shared(ca.T),
         _shared(np.concatenate((ab[::-1], np.zeros_like(ab)))),
         _shared(powers),
-        _steps(powers[BLOCK].T),
-        _shared(to_system),
-        _shared(to_delay),
-        _shared(rest),
+        _steps(powers[length].T),
     )
 
 
@@ -189,9 +221,9 @@ def _held_operators(key: bytes, bunch: int):
     at the next group's start is z @ steps[0] + u @ gamma; the backward
     state at this group's start is w @ steps[0] + [z, u] @ back; steps[j]
     is (A^(L * 2^j))^T, for the scans over groups; to_system and to_delay
-    are ``_block_operators``'.
+    are ``_design``'s.
     """
-    a, b, c, d = _state_space(np.frombuffer(key).reshape(-1, 5))[:4]
+    a, b, c, d = _design(key)[0]
     groups = HOLD // bunch
     span = groups * bunch
     ab, ca, powers = _series(a, b, c, HOLD)
@@ -218,7 +250,7 @@ def _held_operators(key: bytes, bunch: int):
         _shared(ab[::-1].reshape(groups, bunch, -1).sum(axis=1)),
         _shared(np.vstack((observe.T @ ab, held.T @ ab))),
         _steps(powers[span].T),
-        *_block_operators(key)[5:7],
+        *_design(key)[1:3],
     )
 
 
@@ -230,21 +262,22 @@ def _shared(a: np.ndarray) -> np.ndarray:
 
 
 def _output_matrix(h: np.ndarray, observe: np.ndarray) -> np.ndarray:
-    """A block's output row is [input row, start state] @ this matrix.
+    """A block's output row is [input row, start state] @ this matrix, for blocks of ``observe``'s L columns.
 
     Row j of the transposed Toeplitz part is h[L - 1 - j : 2L - 1 - j]: j
     zeros, then the impulse response. Built per call: caching it with the
     operators raised the peak RSS of a 60 s file's envelope by 4.7% (127.4
     to 133.4 MB).
     """
-    step = h.itemsize
-    toeplitz = np.ndarray((BLOCK, BLOCK), buffer=h, offset=(BLOCK - 1) * step, strides=(-step, step))
+    length, step = observe.shape[1], h.itemsize
+    toeplitz = np.ndarray((length, length), buffer=h, offset=(length - 1) * step, strides=(-step, step))
     return np.concatenate((toeplitz, observe))
 
 
 def _advance(r: int, carry: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """A block row @ this matrix is the system state after the block's first r inputs."""
-    return np.concatenate((carry[BLOCK - r : 2 * BLOCK - r], powers[r]))
+    """A block row @ this matrix is the system state after the block's first r inputs; L = ``len(powers) - 1``."""
+    length = len(powers) - 1
+    return np.concatenate((carry[length - r : 2 * length - r], powers[r]))
 
 
 def _scan(added: np.ndarray, steps, start: np.ndarray) -> np.ndarray:
@@ -264,35 +297,35 @@ def _scan(added: np.ndarray, steps, start: np.ndarray) -> np.ndarray:
     return added
 
 
-def _sos_blocked(sos: np.ndarray, x: np.ndarray, start: np.ndarray, chained: bool):
-    """The cascade over x from ``start``, block-start states chained or scanned.
+def _sos_blocked(operators: tuple, x: np.ndarray, start: np.ndarray, chained: bool):
+    """The cascade over x from ``start`` on ``_block_operators``' blocks, block-start states chained or scanned.
 
-    Every state here is in the system's basis. Returns (output, end state,
-    group edge). The group edge is the start state of the group that x's
-    last block is in, read from the chain's start states, or the end state
-    if x is whole groups.
+    The block length is the operators'. Every state here is in the
+    system's basis. Returns (output, end state, group edge). The group
+    edge is the start state of the group that x's last block is in, read
+    from the chain's start states, or the end state if x is whole groups.
     """
-    h, observe, carry, powers, steps = _block_operators(_key(sos))[:5]
-    count = len(x)
-    n_blocks = -(-count // BLOCK)
-    r = count - (n_blocks - 1) * BLOCK  # inputs in the last block
-    rows = np.empty((-(-n_blocks // GROUP) * GROUP if chained else n_blocks, BLOCK + len(start)))
-    rows[: n_blocks - 1, :BLOCK] = x[: count - r].reshape(n_blocks - 1, BLOCK)
+    h, observe, carry, powers, steps = operators
+    length, count = observe.shape[1], len(x)
+    n_blocks = -(-count // length)
+    r = count - (n_blocks - 1) * length  # inputs in the last block
+    rows = np.empty((-(-n_blocks // GROUP) * GROUP if chained else n_blocks, length + len(start)))
+    rows[: n_blocks - 1, :length] = x[: count - r].reshape(n_blocks - 1, length)
     rows[n_blocks - 1, :r] = x[count - r :]
-    rows[n_blocks - 1, r:BLOCK] = 0.0
+    rows[n_blocks - 1, r:length] = 0.0
     rows[n_blocks:] = 0.0
-    starts = rows[:, BLOCK:]
+    starts = rows[:, length:]
     starts[0] = start
     if chained:
-        advance = _advance(BLOCK, carry, powers)
+        advance = _advance(length, carry, powers)
         for k in range(1, n_blocks):  # np.dot: half the call cost of @ at this size
             np.dot(rows[k - 1], advance, out=starts[k])
         y = np.matmul(rows.reshape(-1, GROUP, rows.shape[1]), _output_matrix(h, observe))
     else:
-        starts[1:] = _scan(rows[:-1, :BLOCK] @ carry[:BLOCK], steps, starts[0])
+        starts[1:] = _scan(rows[:-1, :length] @ carry[:length], steps, starts[0])
         y = rows @ _output_matrix(h, observe)
     end = rows[n_blocks - 1].dot(_advance(r, carry, powers))
-    edge = starts[(n_blocks - 1) // GROUP * GROUP].copy() if count % (GROUP * BLOCK) else end
+    edge = starts[(n_blocks - 1) // GROUP * GROUP].copy() if count % (GROUP * length) else end
     return y.reshape(-1)[:count], end, edge
 
 
@@ -344,11 +377,12 @@ def sos_filter(sos: np.ndarray, x: np.ndarray, zi):
     strided view. Inputs are not mutated.
     """
     key = _key(sos)
-    to_system, to_delay = _block_operators(key)[5:7]
+    to_system, to_delay = _design(key)[1:3]
     if not isinstance(zi, FilterState):
         if not len(x):
             return np.empty(0), np.array(zi, dtype=np.float64)
-        y, end, _ = _sos_blocked(sos, x, to_system.dot(np.asarray(zi, np.float64).reshape(-1)), False)
+        start = to_system.dot(np.asarray(zi, np.float64).reshape(-1))
+        y, end, _ = _sos_blocked(_block_operators(key, _SCAN_BLOCK), x, start, False)
         return y, to_delay.dot(end).reshape(-1, 2)
     if not len(x):
         return np.empty(0), zi
@@ -356,8 +390,9 @@ def sos_filter(sos: np.ndarray, x: np.ndarray, zi):
     z, inputs = zi._group[1:] if same_grid else (to_system.dot(zi.values.reshape(-1)), np.empty(0))
     x = np.concatenate((inputs, x))
     y = np.empty(len(x))
+    operators = _block_operators(key, BLOCK)
     for i in range(0, len(x), _SPAN):
-        y[i : i + _SPAN], z, edge = _sos_blocked(sos, x[i : i + _SPAN], z, True)
+        y[i : i + _SPAN], z, edge = _sos_blocked(operators, x[i : i + _SPAN], z, True)
     state = FilterState(to_delay.dot(z).reshape(-1, 2))
     object.__setattr__(state, "_group", (key, edge, x[len(x) - len(x) % (GROUP * BLOCK) :].copy()))
     return y[len(inputs) :], state

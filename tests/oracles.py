@@ -9,23 +9,73 @@ from ampenv import kernels
 from ampenv.filtering import _step_state
 
 
-def recurrence(sos, x, zi, dtype=np.float64):
-    """Run the cascade's transposed direct-form II recurrence over x in ``dtype``.
+def recurrence(sos, x, zi, number=float):
+    """Run the cascade's transposed direct-form II recurrence over x in the arithmetic of ``number``.
 
     ``sos`` rows are (b0, b1, b2, a1, a2) with a0 = 1; ``zi`` has one
-    (s0, s1) delay pair per section. Returns (output, final state).
+    (s0, s1) delay pair per section. ``number`` is float for the float64
+    recurrence, or fractions.Fraction for an exact run: every float64 is
+    dyadic, so inputs, coefficients and states convert exactly. Returns
+    (output, final state), float64 arrays or object arrays of ``number``.
     """
-    y = list(np.asarray(x, dtype=dtype))
-    zf = np.array(zi, dtype=dtype)
-    for k, (b0, b1, b2, a1, a2) in enumerate(np.asarray(sos, dtype=dtype)):
+    y = [number(v) for v in np.asarray(x, np.float64).tolist()]
+    zf = [[number(v) for v in pair] for pair in np.asarray(zi, np.float64).tolist()]
+    for k, row in enumerate(np.asarray(sos, np.float64).tolist()):
+        b0, b1, b2, a1, a2 = map(number, row)
         s0, s1 = zf[k]
         for i, xi in enumerate(y):
             yi = b0 * xi + s0
             s0 = b1 * xi - a1 * yi + s1
             s1 = b2 * xi - a2 * yi
             y[i] = yi
-        zf[k] = s0, s1
-    return np.array(y, dtype=dtype), zf
+        zf[k] = [s0, s1]
+    return np.array(y), np.array(zf)
+
+
+# Fraction bits of ``reference``'s fixed point. A rounding step is 2^-256,
+# about 1e-77, some 60 orders of magnitude below a float64 ulp of the
+# tests' outputs, which leaves room for any amplification the recurrence
+# gives a state error at low cutoffs.
+_FIXED_BITS = 256
+
+
+def _dyadic(v):
+    """(m, k) with v = m / 2^k exactly, for a float64 or np.longdouble v."""
+    num, den = v.as_integer_ratio()
+    return num, den.bit_length() - 1
+
+
+def reference(sos, x, zi):
+    """The cascade's recurrence over x from the delay pairs zi in fixed point; returns np.longdouble arrays.
+
+    The extended-precision reference the kernel's deviation gates measure
+    against. Every value is an integer count of 2^-``_FIXED_BITS``: inputs
+    and states (float64 or np.longdouble, so dyadic) convert exactly, and
+    a product with a coefficient m / 2^k is (m v) >> k, so each step
+    rounds by at most one count. The results are rounded once to
+    np.longdouble. Returns (output, final state), as ``recurrence`` does.
+    """
+
+    def fixed(v):
+        m, k = _dyadic(v)
+        return (m << _FIXED_BITS) >> k
+
+    def unfixed(v):
+        shift = max(abs(v).bit_length() - 63, 0)
+        return np.ldexp(np.longdouble(v >> shift), shift - _FIXED_BITS)
+
+    y = [fixed(v) for v in np.asarray(x)]
+    zf = [[fixed(v) for v in pair] for pair in np.asarray(zi)]
+    for k, row in enumerate(np.asarray(sos, np.float64)):
+        (b0, e0), (b1, e1), (b2, e2), (a1, f1), (a2, f2) = map(_dyadic, row)
+        s0, s1 = zf[k]
+        for i, xi in enumerate(y):
+            yi = (b0 * xi >> e0) + s0
+            s0 = (b1 * xi >> e1) - (a1 * yi >> f1) + s1
+            s1 = (b2 * xi >> e2) - (a2 * yi >> f2)
+            y[i] = yi
+        zf[k] = [s0, s1]
+    return np.array([unfixed(v) for v in y]), np.array([[unfixed(v) for v in pair] for pair in zf])
 
 
 def held_operators(sos, bunch, hold):
@@ -61,8 +111,8 @@ def held_operators(sos, bunch, hold):
     return bwd[::-1].T, z[:, 2 * states :].T, w[:, states:].T, w[:, :states].T
 
 
-def peak_hold_envelope(sos, x, bunch, pad, dtype=np.float64):
-    """The zero-phase peak-hold envelope of x, each pass run by ``recurrence`` in ``dtype``.
+def peak_hold_envelope(sos, x, bunch, pad, run=recurrence):
+    """The zero-phase peak-hold envelope of x, each pass run by ``run``: ``recurrence`` or ``reference``.
 
     Rectify, hold each ``bunch``-sample maximum, pad both ends with ``pad``
     odd reflections, then filter forward and backward over the whole
@@ -76,8 +126,8 @@ def peak_hold_envelope(sos, x, bunch, pad, dtype=np.float64):
         staircase,
         2.0 * staircase[-1] - staircase[-2 : -pad - 2 : -1],
     ))
-    fwd, _ = recurrence(sos, ext, _step_state(sos, ext[0]), dtype)
-    bwd, _ = recurrence(sos, fwd[::-1], _step_state(sos, float(fwd[-1])), dtype)
+    fwd, _ = run(sos, ext, _step_state(sos, ext[0]))
+    bwd, _ = run(sos, fwd[::-1], _step_state(sos, float(fwd[-1])))
     return bwd[::-1][pad : pad + n]
 
 
@@ -85,15 +135,15 @@ def assert_within_the_recurrence(sos, x, bunch, pad, envelope):
     """Assert that ``envelope`` lies no further from the long-double peak-hold envelope than the float64 recurrence.
 
     Distances are max |y - reference| over max |reference|, the reference
-    being ``peak_hold_envelope`` in np.longdouble. Skips the test where
+    being ``peak_hold_envelope`` run by ``reference``. Skips the test where
     np.longdouble is float64, which leaves no extended-precision reference.
     """
     if not has_extended_precision:
         pytest.skip("np.longdouble is float64 here, so there is no extended-precision reference")
-    reference = peak_hold_envelope(sos, x, bunch, pad, np.longdouble)
-    scale = np.max(np.abs(reference))
+    precise = peak_hold_envelope(sos, x, bunch, pad, reference)
+    scale = np.max(np.abs(precise))
     blocked, sequential = (
-        float(np.max(np.abs(y - reference)) / scale) for y in (envelope, peak_hold_envelope(sos, x, bunch, pad))
+        float(np.max(np.abs(y - precise)) / scale) for y in (envelope, peak_hold_envelope(sos, x, bunch, pad))
     )
     assert blocked <= sequential, "%.3g of the peak, the float64 recurrence %.3g" % (blocked, sequential)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import assert_within_the_recurrence, has_extended_precision, recurrence
+from oracles import assert_within_the_recurrence, has_extended_precision, recurrence, reference
 from scipy import signal as sps
 
 from ampenv import (
@@ -174,17 +174,18 @@ class TestFilterCausal:
         design = make_design(cutoff=cutoff, order=order)
         x = np.abs(rng.standard_normal(12000))
         zi = _step_state(design.sections, x[0])
-        reference, _ = recurrence(design.sections, x, zi, np.longdouble)
-        scale = np.max(np.abs(reference))
+        precise, _ = reference(design.sections, x, zi)
+        scale = np.max(np.abs(precise))
         out, _ = filter_causal(design, Signal(x, 44100.0), FilterState(zi))
 
         def deviation(y):
-            return float(np.max(np.abs(y - reference)) / scale)
+            return float(np.max(np.abs(y - precise)) / scale)
 
         blocked = deviation(out.samples)
         assert blocked <= deviation(recurrence(design.sections, x, zi)[0])
         # The chain keeps its states in the scan's basis, so it is as
-        # accurate as the scan (measured 0.7-1.0x).
+        # accurate as the scan (measured 0.95-1.0x, the chain on 128-sample
+        # blocks and the scan on 64).
         assert blocked <= 1.5 * deviation(kernels.sos_filter(design.sections, x, zi)[0])
 
     def test_continuing_from_the_public_values_alone(self, rng):

@@ -1,20 +1,28 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from oracles import has_extended_precision, held_operators, recurrence
+from oracles import has_extended_precision, held_operators, recurrence, reference
 
 from ampenv import FilterSpec, butterworth_lowpass, kernels
 from ampenv.filtering import _step_state
-from ampenv.kernels import BLOCK, GROUP, FilterState
+from ampenv.kernels import _SCAN_BLOCK, BLOCK, GROUP, FilterState
 
 
 def sections(cutoff_hz):
     return butterworth_lowpass(FilterSpec(cutoff_hz, 44100.0)).sections
 
 
+# Both passes' block edges: the scan's 64-sample blocks and the chain's 128.
+EDGES = [1, _SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * _SCAN_BLOCK + 37]
+
+
 def blocked_in_delay_pairs(sos, x, zi, chained):
-    """kernels._sos_blocked from and to (s0, s1) delay pairs, converted as sos_filter does."""
-    to_system, to_delay = kernels._block_operators(kernels._key(sos))[5:7]
-    y, end, _ = kernels._sos_blocked(sos, x, to_system.dot(np.asarray(zi, np.float64).reshape(-1)), chained)
+    """kernels._sos_blocked from and to (s0, s1) delay pairs, on the blocks and with the conversions sos_filter uses."""
+    key = kernels._key(sos)
+    to_system, to_delay = kernels._design(key)[1:3]
+    operators = kernels._block_operators(key, BLOCK if chained else _SCAN_BLOCK)
+    y, end, _ = kernels._sos_blocked(operators, x, to_system.dot(np.asarray(zi, np.float64).reshape(-1)), chained)
     return y, to_delay.dot(end).reshape(-1, 2)
 
 
@@ -27,11 +35,11 @@ def test_blocked_deviation_within_the_recurrence(cutoff_hz, seed):
     sos = sections(cutoff_hz)
     x = np.abs(np.random.default_rng(seed).standard_normal(20000))
     zi = _step_state(sos, x[0])
-    reference, _ = recurrence(sos, x, zi, np.longdouble)
-    scale = np.max(np.abs(reference))
+    precise, _ = reference(sos, x, zi)
+    scale = np.max(np.abs(precise))
 
     def deviation(y):
-        return float(np.max(np.abs(y - reference)) / scale)
+        return float(np.max(np.abs(y - precise)) / scale)
 
     blocked = deviation(kernels.sos_filter(sos, x, zi)[0])
     sequential = deviation(recurrence(sos, x, zi)[0])
@@ -44,17 +52,33 @@ def test_blocked_deviation_within_the_recurrence(cutoff_hz, seed):
     assert blocked <= sequential
 
 
-@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 5 * BLOCK + 37])
+@pytest.mark.parametrize("cutoff_hz", [20.0, 150.0])
+def test_the_reference_within_an_ulp_of_the_exact_recurrence(cutoff_hz, rng):
+    # Every float64 is dyadic, so the recurrence run in fractions is exact.
+    # Errors are exact too, in float64 ulps of the largest exact value.
+    sos = butterworth_lowpass(FilterSpec(cutoff_hz, 44100.0, 4)).sections
+    x = np.abs(rng.standard_normal(200))
+    zi = _step_state(sos, x[0])
+    exact, exact_zf = recurrence(sos, x, zi, Fraction)
+    got, zf = reference(sos, x, zi)
+    for name, have, want in (("output", got, exact), ("state", zf.ravel(), exact_zf.ravel())):
+        error = max(abs(Fraction(*v.as_integer_ratio()) - w) for v, w in zip(have, want))
+        ulps = float(error / Fraction(np.spacing(float(max(map(abs, want))))))
+        assert ulps <= 1.0, "%s: %.3g ulp" % (name, ulps)
+
+
+@pytest.mark.parametrize("n", EDGES + [5 * BLOCK + 37])
 def test_block_lengths_agree_with_the_recurrence(n, rng):
     sos = sections(150.0)
-    x = rng.standard_normal(n)
-    zi = _step_state(sos, 0.3)
-    expected, expected_zf = recurrence(sos, x, zi)
-    for chained in (True, False):
-        got, zf = blocked_in_delay_pairs(sos, x, zi, chained)
-        assert got.shape == (n,)
-        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
-        assert np.max(np.abs(zf - expected_zf)) <= 1e-12 * np.max(np.abs(expected_zf))
+    x = rng.standard_normal(2 * n)
+    zi = rng.standard_normal((2, 2))
+    for view in (x[:n], x[n:][::-1]):
+        expected, expected_zf = recurrence(sos, view, zi)
+        for chained in (True, False):
+            got, zf = blocked_in_delay_pairs(sos, view, zi, chained)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+            assert np.max(np.abs(zf - expected_zf)) <= 1e-12 * np.max(np.abs(expected_zf))
 
 
 @pytest.mark.skipif(
@@ -159,23 +183,40 @@ def test_inputs_not_mutated(rng):
             np.testing.assert_array_equal(part, before)
 
 
-def test_reversed_view_matches_copy(rng):
-    # A backward and a forward stride, each n samples: n = 4 * BLOCK ends on
-    # a group edge, n = 4 * BLOCK + 3 inside a group; delay pairs take the
-    # scan and a FilterState the chain.
+@pytest.mark.parametrize("n", EDGES + [4 * BLOCK, 4 * BLOCK + 3])
+def test_reversed_view_matches_copy(n, rng):
+    # A backward and a forward stride, each n samples, from a random delay
+    # pair: delay pairs take the scan and a FilterState the chain. n = 4 *
+    # BLOCK ends on a group edge of the chain, n = 4 * BLOCK + 3 inside one.
     sos = sections(20.0)
-    for n in (4 * BLOCK, 4 * BLOCK + 3):
-        x = rng.standard_normal(2 * n)
-        for view in (x[:n][::-1], x[::2]):
-            zi = _step_state(sos, view[0])
-            got, got_zf = kernels.sos_filter(sos, view, zi)
-            copy, copy_zf = kernels.sos_filter(sos, view.copy(), zi)
-            np.testing.assert_array_equal(got, copy)
-            np.testing.assert_array_equal(got_zf, copy_zf)
-            got, got_state = kernels.sos_filter(sos, view, FilterState(zi))
-            copy, copy_state = kernels.sos_filter(sos, view.copy(), FilterState(zi))
-            np.testing.assert_array_equal(got, copy)
-            np.testing.assert_array_equal(got_state.values, copy_state.values)
+    x = rng.standard_normal(2 * n)
+    zi = rng.standard_normal((2, 2))
+    for view in (x[:n][::-1], x[::2]):
+        got, got_zf = kernels.sos_filter(sos, view, zi)
+        copy, copy_zf = kernels.sos_filter(sos, view.copy(), zi)
+        np.testing.assert_array_equal(got, copy)
+        np.testing.assert_array_equal(got_zf, copy_zf)
+        got, got_state = kernels.sos_filter(sos, view, FilterState(zi))
+        copy, copy_state = kernels.sos_filter(sos, view.copy(), FilterState(zi))
+        np.testing.assert_array_equal(got, copy)
+        np.testing.assert_array_equal(got_state.values, copy_state.values)
+
+
+def test_one_long_double_system_per_design(monkeypatch, rng):
+    # The scan's and the chain's block operators and the group-rate ones
+    # are all built from the one system _design solves per design.
+    for cache in (kernels._design, kernels._block_operators, kernels._held_operators):
+        cache.cache_clear()
+    built = []
+    state_space = kernels._state_space
+    monkeypatch.setattr(kernels, "_state_space", lambda sos: built.append(sos) or state_space(sos))
+    sos = sections(150.0)
+    x = rng.standard_normal(1000)
+    kernels.sos_filter(sos, x, np.zeros((2, 2)))
+    kernels.sos_filter(sos, x, FilterState(np.zeros((2, 2))))
+    kernels._held_operators(kernels._key(sos), 50)
+    assert len(built) == 1
+    assert kernels._block_operators.cache_info().currsize == 2
 
 
 def test_empty_input_keeps_the_state(rng):
