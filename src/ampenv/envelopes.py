@@ -36,7 +36,7 @@ import numpy as np
 from . import kernels
 from .filter_design import FilterSpec, butterworth_lowpass
 from .filtering import _held_zero_phase, _pad_for, _zero_phase, filtfilt_zero_phase
-from .signals import BunchSpec, Signal, _bunch_peaks, _positive_finite, _positive_int, bunch_max, rectify
+from .signals import BunchSpec, Signal, _bunch_peaks, _peaks, _positive_finite, _positive_int, bunch_max, rectify
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,10 @@ def three_step_stages(
 ) -> tuple[Signal, Signal, Signal]:
     """Rectified, staircase, and final envelope stages of the peak-hold method.
 
-    All three are held at full length, and the envelope is the zero-phase
-    filter of the staircase at the full rate. ``three_step_envelope`` makes
-    only the last, for bunches of 2-256 samples from the bunch peaks at the
-    group rate: the two agree to within the float64 recurrence's rounding,
-    not bit for bit.
+    All three are held at full length. The envelope is
+    ``filtfilt_zero_phase`` of the staircase, which for bunches of 2-256
+    samples runs at the group rate from one staircase sample a bunch, and
+    it equals ``three_step_envelope``'s bit for bit at every bunch size.
     """
     p = params if params is not None else EnvelopeParams()
     design = butterworth_lowpass(FilterSpec(p.cutoff_hz, s.sample_rate, p.filter_order))
@@ -110,9 +109,8 @@ def three_step_envelope(s: Signal, params: EnvelopeParams | None = None) -> Enve
     product per group of whole bunches (``kernels`` module docstring). Other
     bunch sizes turn |x| into the staircase in place and filter it in pieces
     of 2^17 samples. Either way no second full-length array is held.
-    ``three_step_stages`` returns all three stages; its envelope, filtered
-    at the full rate, is this one bit for bit at bunch 1 and above 256, and
-    to within the float64 recurrence's rounding otherwise.
+    ``three_step_stages`` returns all three stages; its envelope is this
+    one bit for bit.
     """
     p = params if params is not None else EnvelopeParams()
     return EnvelopeResult(_peak_hold(s, p), "three_step", asdict(p))
@@ -129,7 +127,7 @@ def _peak_hold(s: Signal, p: EnvelopeParams) -> Signal:
     buf = np.empty(n + 2 * pad)  # padded for the piece driver, which fills it in place
     env = np.abs(s.samples, out=buf[pad : pad + n])
     if 2 <= bunch <= kernels.HOLD:  # the group rate; the follower and larger bunches take the pieces
-        env = _held_zero_phase(sos, env, bunch, pad)
+        env = _held_zero_phase(sos, _peaks(env, bunch), env, bunch, pad)
     else:
         env = _zero_phase(sos, env if bunch == 1 else _bunch_peaks(env, bunch, env), buf, pad)
     return Signal._wrap(env, s.sample_rate)

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernels
 from .filter_design import FilterDesign
 from .kernels import FilterState
-from .signals import BunchSpec, Signal, _peaks, bunch_max, rectify
+from .signals import BunchSpec, Signal, bunch_max, rectify
 
 
 def _check_rate(design: FilterDesign, s: Signal) -> None:
@@ -90,11 +90,22 @@ def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
     besides the input only one float64 buffer of the padded length is held
     (the output is a view of it, not a copy). ``s`` must have the design's
     sample rate.
+
+    A staircase that ``bunch_max`` made with bunches of 2 to
+    ``kernels.HOLD`` samples is filtered at the group rate instead, from
+    one sample a bunch (``_held_zero_phase``): the same arithmetic, on the
+    same peak values, as ``three_step_envelope``, so the two envelopes are
+    equal bit for bit. Besides the input it holds the output and the peaks.
     """
     _check_rate(design, s)
     x = s.samples
     pad = _pad_for(design, len(x))
-    return Signal._wrap(_zero_phase(design.sections, x, np.empty(len(x) + 2 * pad), pad), s.sample_rate)
+    bunch = s._hold
+    if bunch is not None and bunch <= kernels.HOLD:
+        y = _held_zero_phase(design.sections, x[::bunch], np.empty(len(x)), bunch, pad)
+    else:
+        y = _zero_phase(design.sections, x, np.empty(len(x) + 2 * pad), pad)
+    return Signal._wrap(y, s.sample_rate)
 
 
 # Samples per piece of the zero-phase driver. A piece's ~1 MB arrays stay in
@@ -164,9 +175,14 @@ def _zero_phase(sos: np.ndarray, x: np.ndarray, buf: np.ndarray, pad: int) -> np
 _BODY_MACS = 1 << 18
 
 
-def _held_zero_phase(sos: np.ndarray, env: np.ndarray, bunch: int, pad: int) -> np.ndarray:
-    """The zero-phase peak-hold envelope at the group rate, written over ``env`` = |x|; returns ``env``.
+def _held_zero_phase(sos: np.ndarray, peaks: np.ndarray, out: np.ndarray, bunch: int, pad: int) -> np.ndarray:
+    """Both zero-phase passes over a hold of ``peaks``, at the group rate, written into ``out``; returns ``out``.
 
+    The hold is the staircase of n = ``len(out)`` samples whose every
+    ``bunch``-sample bunch from sample 0, a trailing partial one too, takes
+    its value from ``peaks``; ``out`` must not overlap ``peaks``.
+    ``filtfilt_zero_phase`` passes a staircase's every bunch-th sample,
+    ``three_step_envelope`` the bunch maxima of |x| and |x|'s own buffer.
     For 2 <= bunch <= ``kernels.HOLD``. Groups of ``kernels.HOLD // bunch``
     whole bunches lie on the bunch grid from sample 0. A group's envelope is
     [w, z, u] times one operator: its backward state entering from its end,
@@ -175,15 +191,14 @@ def _held_zero_phase(sos: np.ndarray, env: np.ndarray, bunch: int, pad: int) -> 
     run the edges: the front pad forward, whose end state starts the first
     group; then the samples after the last whole group, with the end pad,
     forward from the forward scan's last state, and backward from the step
-    state, whose end state starts the backward scan. There is no staircase
-    and no full-rate pass: besides ``env``, memory is the n / bunch peaks.
+    state, whose end state starts the backward scan. It builds no staircase
+    and runs no full-rate pass: besides ``out``, memory is the n / bunch peaks.
     """
-    n = len(env)
+    n = len(out)
     group, gamma, back, steps, to_system, to_delay = kernels._held_operators(kernels._key(sos), bunch)
     width = len(gamma)  # peaks per group
     span, states = width * bunch, len(back) - width
     count = n // span  # whole groups
-    peaks = _peaks(env, bunch)
     front = 2.0 * peaks[0] - peaks[np.arange(pad, 0, -1) // bunch]  # the odd reflection of samples pad..1
     _, z = kernels.sos_filter(sos, front, _step_state(sos, front[0]))
     rows = np.empty((count, 2 * states + width))  # [w, z, u] per group
@@ -200,16 +215,16 @@ def _held_zero_phase(sos: np.ndarray, env: np.ndarray, bunch: int, pad: int) -> 
     tail = np.concatenate((tail[count * span - lo :], 2.0 * tail[-1] - tail[-2 : -pad - 2 : -1]))
     fwd, _ = kernels.sos_filter(sos, tail, z)
     bwd, w = kernels.sos_filter(sos, fwd[::-1], _step_state(sos, fwd[-1]))
-    env[count * span :] = bwd[: pad - 1 : -1]
+    out[count * span :] = bwd[: pad - 1 : -1]
     if count:
         rows[-1, :states] = to_system.dot(w.reshape(-1))
         # From the last group back to the second.
         rows[:-1, :states] = kernels._scan(rows[:0:-1, states:] @ back, steps, rows[-1, :states])[::-1]
-        body = env[: count * span].reshape(count, span)
+        body = out[: count * span].reshape(count, span)
         step = max(1, _BODY_MACS // group.size)
         for i in range(0, count, step):
             np.matmul(rows[i : i + step], group, out=body[i : i + step])
-    return env
+    return out
 
 
 def chunked_envelope_stream(

@@ -7,7 +7,7 @@ rides on its peaks. Both preserve length and sample rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +41,10 @@ class Signal:
 
     samples: np.ndarray
     sample_rate: float
+    # N when ``bunch_max`` made the samples as a hold of N-sample bunches
+    # from sample 0, for N >= 2; ``filtfilt_zero_phase`` then filters the
+    # bunch peaks. No constructor sets it.
+    _hold: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._adopt(np.array(self.samples, dtype=np.float64), self.sample_rate)
@@ -98,7 +102,9 @@ def bunch_max(s: Signal, spec: BunchSpec | int) -> Signal:
     over the bunch containing it, giving a staircase at the original sample
     rate. A trailing partial bunch takes the maximum over just its own
     samples, so no peak is ever dropped. With a bunch size of 1 the
-    staircase is ``s`` itself.
+    staircase is ``s`` itself. A larger bunch's staircase records its bunch
+    size, so that ``filtfilt_zero_phase`` can filter it from one sample a
+    bunch; a Signal built from its samples is an ordinary signal.
     """
     if not isinstance(spec, BunchSpec):
         spec = BunchSpec(spec)
@@ -106,8 +112,9 @@ def bunch_max(s: Signal, spec: BunchSpec | int) -> Signal:
         raise ValueError("empty input")
     if spec.bunch_size == 1:  # a one-sample bunch is its own maximum, and a Signal never changes
         return s
-    out = _bunch_peaks(s.samples, spec.bunch_size, np.empty(len(s)))
-    return Signal._wrap(out, s.sample_rate)
+    out = Signal._wrap(_bunch_peaks(s.samples, spec.bunch_size, np.empty(len(s))), s.sample_rate)
+    object.__setattr__(out, "_hold", spec.bunch_size)
+    return out
 
 
 def _peaks(x: np.ndarray, n: int) -> np.ndarray:

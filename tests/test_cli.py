@@ -3,7 +3,10 @@ import struct
 import numpy as np
 import pytest
 
-from ampenv import PRESETS, Signal, SyntheticSpec, cli, filtering, read_wav, three_step_envelope, to_mono, write_wav
+from ampenv import (
+    PRESETS, EnvelopeParams, Signal, SyntheticSpec, cli, filtering, kernels, read_wav, three_step_envelope, to_mono,
+    write_wav,
+)
 from ampenv.cli import main
 
 
@@ -79,6 +82,28 @@ class TestEnvelopeCommand:
         write_wav(tmp_path / "expected.wav", expected)
         assert (tmp_path / "only.wav").read_bytes() == (tmp_path / "both.wav").read_bytes()
         assert (tmp_path / "only.wav").read_bytes() == (tmp_path / "expected.wav").read_bytes()
+
+    @pytest.mark.parametrize("bunch", [50, 300])
+    def test_staircase_filtered_at_the_group_rate_up_to_the_hold(self, bunch, capsys, tone_wav, tmp_path, monkeypatch):
+        # 13,230 samples in pieces of 1,000. Bunches up to kernels.HOLD run
+        # no full-rate pass: three kernel calls, on the pads and the samples
+        # after the last whole group. Bunch 300 filters the staircase in
+        # pieces. Either way the WAV is three_step_envelope's.
+        monkeypatch.setattr(filtering, "_PIECE", 1000)
+        calls = []
+        sos_filter = kernels.sos_filter
+        monkeypatch.setattr(kernels, "sos_filter", lambda *a: calls.append(len(a[1])) or sos_filter(*a))
+        out = tmp_path / "env.wav"
+        code, _, stderr = run(capsys, "envelope", str(tone_wav), "-o", str(out), "--bunch", str(bunch))
+        assert (code, stderr) == (0, "")
+        n, pad = int(0.3 * 44100), 27  # the default order 4
+        if bunch <= kernels.HOLD:
+            assert len(calls) == 3 and max(calls) <= kernels.HOLD // bunch * bunch + 2 * pad
+        else:
+            assert len(calls) == 2 * len(range(0, n - pad, 1000)) and sum(calls) == 2 * (n + 2 * pad)
+        expected = three_step_envelope(to_mono(read_wav(tone_wav)), EnvelopeParams(bunch)).envelope
+        write_wav(tmp_path / "expected.wav", expected)
+        assert out.read_bytes() == (tmp_path / "expected.wav").read_bytes()
 
     def test_default_output_name(self, capsys, tone_wav):
         code, stdout, _ = run(capsys, "envelope", str(tone_wav))

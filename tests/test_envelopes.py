@@ -101,16 +101,16 @@ class TestThreeStep:
     def test_stages_are_consistent(self, rng):
         sig = Signal(rng.standard_normal(2000), 44100.0)
         p = EnvelopeParams(35, 300.0)
-        rectified, staircase, _ = three_step_stages(sig, p)
+        rectified, staircase, stages_envelope = three_step_stages(sig, p)
         np.testing.assert_array_equal(rectified.samples, np.abs(sig.samples))
         np.testing.assert_array_equal(
             staircase.samples, bunch_max(rectify(sig), 35).samples
         )
-        # The envelope runs at the group rate, from the bunch peaks, and
-        # rounds otherwise than the stages' passes over the staircase.
+        # Both run at the group rate, from the same bunch peaks.
         design = butterworth_lowpass(FilterSpec(300.0, 44100.0))
         envelope = three_step_envelope(sig, p).envelope.samples
         assert_within_the_recurrence(design.sections, sig.samples, 35, filtering.default_pad_len(design), envelope)
+        np.testing.assert_array_equal(stages_envelope.samples, envelope)
 
     def test_staircase_dominates_signal(self, rng):
         sig = Signal(rng.standard_normal(1111), 44100.0)

@@ -1,4 +1,6 @@
+import dataclasses
 import tracemalloc
+import wave
 
 import numpy as np
 import pytest
@@ -13,17 +15,24 @@ from ampenv import (
     FilterSpec,
     FilterState,
     Signal,
+    SyntheticSpec,
     bunch_max,
     butterworth_lowpass,
     chunked_envelope_stream,
     envelope_follower,
+    envelope_hilbert,
+    envelope_rms,
     filter_causal,
     filtfilt_zero_phase,
     frequency_response,
+    generate,
     kernels,
+    read_wav,
     rectify,
     three_step_envelope,
     three_step_stages,
+    to_mono,
+    write_wav,
 )
 from ampenv import filtering
 from ampenv.filtering import _step_state, default_pad_len
@@ -52,6 +61,14 @@ def scanned_zero_phase(design, x):
     rev = fwd[::-1]
     bwd = kernels.sos_filter(sos, rev, _step_state(sos, rev[0]))[0]
     return bwd[::-1][pad:-pad]
+
+
+def count_kernel_calls(monkeypatch):
+    """The length of x in each ``kernels.sos_filter`` call from now on, in a list."""
+    calls = []
+    sos_filter = kernels.sos_filter
+    monkeypatch.setattr(kernels, "sos_filter", lambda *a: calls.append(len(a[1])) or sos_filter(*a))
+    return calls
 
 
 def zero_lag_of_peak_xcorr(a, b):
@@ -344,9 +361,7 @@ class TestPieces:
         pad, piece = default_pad_len(design), self.PIECE
         n = k * piece + {"1": 1, "pad": pad, "pad+1": pad + 1, "piece-1": piece - 1}[r]
         sig = Signal(rng.standard_normal(n), 44100.0)
-        calls = []
-        sos_filter = kernels.sos_filter
-        monkeypatch.setattr(kernels, "sos_filter", lambda *a: calls.append(len(a[1])) or sos_filter(*a))
+        calls = count_kernel_calls(monkeypatch)
         if bunch is None:
             staircase = sig.samples
             ours = filtfilt_zero_phase(design, sig).samples
@@ -374,8 +389,9 @@ class TestPieces:
     def test_envelope_equals_the_stages_bit_for_bit(self, bunch, n, rng, monkeypatch):
         # Pieces are cut where they are whatever the bunch, so the envelope
         # made in pieces is the zero-phase filter of the whole staircase.
-        # Bunches of 7 and 37 run at the group rate, which rounds otherwise:
-        # they are held to the long-double recurrence instead.
+        # Bunches of 7 and 37 run at the group rate, from the staircase's
+        # peaks in the stages too; they are also held to the long-double
+        # recurrence.
         monkeypatch.setattr(filtering, "_PIECE", self.PIECE)
         p = EnvelopeParams(bunch, 1000.0)
         sig = Signal(rng.standard_normal(n), 44100.0)
@@ -383,7 +399,6 @@ class TestPieces:
         if bunch in (7, 37):
             design = make_design(cutoff=1000.0)
             assert_within_the_recurrence(design.sections, sig.samples, bunch, default_pad_len(design), envelope)
-            return
         np.testing.assert_array_equal(envelope, three_step_stages(sig, p)[2].samples)
         if bunch == 1:
             follower = envelope_follower(sig, 1000.0).envelope.samples
@@ -420,6 +435,94 @@ class TestPieces:
         with pytest.raises(ValueError, match=short):
             envelope_follower(Signal(np.zeros(27), 44100.0))
         three_step_envelope(Signal(np.zeros(28), 44100.0))  # one past the pad is accepted
+
+
+PAD = default_pad_len(make_design())  # 27, at order 4
+
+
+def held_cases():
+    """(bunch, n) pairs: n mod L of 0, 1, pad and L - 1 over three whole groups, n < L, n < N and n = pad + 1."""
+    for bunch in (2, 7, 35, 50, 128, 129, 200, 256):
+        span = kernels.HOLD // bunch * bunch
+        lengths = {"0": 3 * span, "1": 3 * span + 1, "pad": 3 * span + PAD, "L-1": 4 * span - 1}
+        lengths.update({"short": span // 2 + 1, "pad+1": PAD + 1})
+        if bunch - 1 > PAD:
+            lengths["in-a-bunch"] = bunch - 1
+        for name, n in lengths.items():
+            yield pytest.param(bunch, n, id="%d-%s" % (bunch, name))
+
+
+def mono_wav(path, s):
+    """Write s as a 16-bit WAV at ``path``; returns the path."""
+    write_wav(path, s)
+    return path
+
+
+def stereo_wav(path, x, rate=44100):
+    """Write x and -x as the two channels of a 16-bit WAV at ``path``; returns the path."""
+    frames = np.round(np.clip(np.column_stack((x, -x)), -1.0, 1.0) * 32767.0).astype("<i2")
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(2)
+        w.setsampwidth(2)
+        w.setframerate(rate)
+        w.writeframes(frames.tobytes())
+    return path
+
+
+# Signals that are not a bunch_max staircase of 2-256-sample bunches, each
+# from (signal, design, a directory), for filtfilt_zero_phase's pieces.
+UNHELD = {
+    "bunch-1": lambda s, d, tmp: bunch_max(rectify(s), 1),
+    "bunch-257": lambda s, d, tmp: bunch_max(rectify(s), 257),
+    "Signal-of-a-staircase": lambda s, d, tmp: Signal(bunch_max(rectify(s), 50).samples, s.sample_rate),
+    "replace-of-a-staircase": lambda s, d, tmp: dataclasses.replace(bunch_max(rectify(s), 50)),
+    "rectify-of-a-staircase": lambda s, d, tmp: rectify(bunch_max(rectify(s), 50)),
+    "filter_causal-of-a-staircase": lambda s, d, tmp: filter_causal(d, bunch_max(rectify(s), 50))[0],
+    "filtfilt_zero_phase-of-a-staircase": lambda s, d, tmp: filtfilt_zero_phase(d, bunch_max(rectify(s), 50)),
+    "three_step_envelope": lambda s, d, tmp: three_step_envelope(s, EnvelopeParams(50, 300.0)).envelope,
+    "envelope_follower": lambda s, d, tmp: envelope_follower(s, 300.0).envelope,
+    "envelope_rms": lambda s, d, tmp: envelope_rms(s).envelope,
+    "envelope_hilbert": lambda s, d, tmp: envelope_hilbert(s).envelope,
+    "generate-signal": lambda s, d, tmp: generate(SyntheticSpec(duration_s=0.08))[0],
+    "generate-truth": lambda s, d, tmp: generate(SyntheticSpec(duration_s=0.08))[1],
+    "read_wav-mono": lambda s, d, tmp: read_wav(mono_wav(tmp / "m.wav", bunch_max(rectify(s), 50))).channels[0],
+    "read_wav-stereo": lambda s, d, tmp: read_wav(stereo_wav(tmp / "s.wav", bunch_max(rectify(s), 50).samples)).channels[1],
+    "to_mono-mixdown": lambda s, d, tmp: to_mono(read_wav(stereo_wav(tmp / "s.wav", s.samples)), "mean"),
+}
+
+
+class TestHeldStaircase:
+    """A ``bunch_max`` staircase of 2-256-sample bunches is filtered from its peaks."""
+
+    @pytest.mark.parametrize("bunch, n", held_cases())
+    def test_equals_the_envelope_bit_for_bit(self, bunch, n, rng, monkeypatch):
+        design = make_design(cutoff=300.0)
+        sig = Signal(rng.standard_normal(n), 44100.0)
+        staircase = bunch_max(rectify(sig), bunch)
+        calls = count_kernel_calls(monkeypatch)
+        ours = filtfilt_zero_phase(design, staircase).samples
+        # No full-rate pass: the front pad forward, and the samples after
+        # the last whole group with the end pad, forward and backward.
+        span = kernels.HOLD // bunch * bunch
+        assert len(calls) == 3 and max(calls) <= span + 2 * PAD
+        envelope = three_step_envelope(sig, EnvelopeParams(bunch, 300.0)).envelope.samples
+        np.testing.assert_array_equal(ours, envelope)
+
+    @pytest.mark.parametrize("source", list(UNHELD))
+    def test_every_other_signal_takes_the_pieces(self, source, rng, tmp_path, monkeypatch):
+        monkeypatch.setattr(filtering, "_PIECE", 1000)
+        design = make_design(cutoff=300.0)
+        s = UNHELD[source](Signal(rng.standard_normal(3500), 44100.0), design, tmp_path)
+        n = len(s)
+        calls = count_kernel_calls(monkeypatch)
+        ours = filtfilt_zero_phase(design, s).samples
+        assert len(calls) == 2 * len(range(0, n - PAD, 1000)) > 2 and sum(calls) == 2 * (n + 2 * PAD)
+        pieces = filtering._zero_phase(design.sections, s.samples, np.empty(n + 2 * PAD), PAD)
+        np.testing.assert_array_equal(ours, pieces)
+
+    def test_the_hold_is_no_constructor_argument(self):
+        with pytest.raises(TypeError):
+            Signal(np.ones(100), 44100.0, _hold=2)
 
 
 class TestChunkedEnvelopeStream:
