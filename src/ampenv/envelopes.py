@@ -107,8 +107,9 @@ def three_step_envelope(s: Signal, params: EnvelopeParams | None = None) -> Enve
     envelope over it in place. For bunches of 2-256 samples the staircase is
     never built: the zero-phase pass runs from the bunch peaks, one small
     product per group of whole bunches (``kernels`` module docstring). Other
-    bunch sizes turn |x| into the staircase in place and filter it in pieces
-    of 2^17 samples. Either way no second full-length array is held.
+    bunch sizes turn |x| into the staircase in place and filter the padded
+    buffer in pieces of 2^17 samples (``kernels._SPAN``). Either way no
+    second full-length array is held.
     ``three_step_stages`` returns all three stages; its envelope is this
     one bit for bit.
     """

@@ -86,10 +86,11 @@ def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
     padded sample; constants and linear trends pass through unchanged. Needs
     future samples, so offline use only. Both passes run as matrix
     products over blocks (``kernels.sos_filter``), not sample by sample, in
-    pieces of 2^17 samples carrying the state from piece to piece, so
-    besides the input only one float64 buffer of the padded length is held
-    (the output is a view of it, not a copy). ``s`` must have the design's
-    sample rate.
+    pieces of one float64 buffer of the padded length, 2^17 samples
+    (``kernels._SPAN``) each, carrying the state from piece to piece. Each
+    piece of the input is copied in just before it is filtered, so besides
+    the input only that buffer is held (the output is a view of it, not a
+    copy). ``s`` must have the design's sample rate.
 
     A staircase that ``bunch_max`` made with bunches of 2 to
     ``kernels.HOLD`` samples is filtered at the group rate instead, from
@@ -108,64 +109,29 @@ def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
     return Signal._wrap(y, s.sample_rate)
 
 
-# Samples per piece of the zero-phase driver. A piece's ~1 MB arrays stay in
-# cache from its read to its write. A 60 s filtfilt_zero_phase at 20 and
-# 300 Hz, one BLAS thread, 64-sample scan blocks (Xeon, 2 MB L2 per core),
-# medians of four sweeps: 2^15 40.7-42.0 ms, 2^16 40.0-41.2, 2^17 42.1-45.7,
-# 2^18 45.3-46.9. 2^16 led 2^17 by 2.1-4.5 ms, but within the run-to-run spread
-# in three of the four, so the value stays. 2^14 and 2^19 were 10-40% slower
-# at 128-sample blocks.
-_PIECE = 1 << 17
-
-
 def _zero_phase(sos: np.ndarray, x: np.ndarray, buf: np.ndarray, pad: int) -> np.ndarray:
-    """Both zero-phase passes of ``sos`` over x; returns a view of the n filtered samples.
+    """Both zero-phase passes of ``sos`` over x in ``buf``; returns the view of its n filtered samples.
 
     ``buf`` holds n + 2 * pad samples, and x may be its middle, where
-    ``three_step_envelope`` stages |x| or the staircase. x is cut into
-    consecutive pieces of ``_PIECE`` samples, each filtered forward in turn,
-    the first with the odd reflection pad before it and the last with the
-    end pad after it (a remainder of ``pad`` samples or fewer joins the last
-    piece), the state carried across. A piece is read before its output is
-    written where it lay in the buffer. The backward pass runs over the
-    same pieces in reverse, in place. An input of one piece makes the two
-    kernel calls over the whole padded array, with no copy into ``buf``.
+    ``three_step_envelope`` stages |x| or the staircase. The odd reflection
+    pads go into ``buf``'s ends first. ``buf`` is cut into pieces of
+    ``kernels._SPAN`` samples, one kernel call each: the forward pass
+    copies a piece's samples of x into it, a no-op when x is ``buf``'s
+    middle, and writes its output in place; the backward pass runs over
+    the same pieces in reverse. The state is carried across the pieces.
     """
-    n = len(x)
-    piece = max(_PIECE, pad + 1)  # a pad needs pad + 1 samples
-    cuts = [*range(0, n - pad, piece), n]
-    # Piece [cuts[i], cuts[i + 1]) fills [edges[i], edges[i + 1]) of the
-    # buffer: the first also the front pad, the last also the end pad.
-    edges = [0, *(c + pad for c in cuts[1:-1]), n + 2 * pad]
-    spans = list(zip(edges, edges[1:]))
-    lone = len(spans) == 1
-    for a, b, (lo, hi) in zip(cuts, cuts[1:], spans):
-        part = x[a:b]
-        # The odd reflection pads, as temporaries: a pad left alive in a
-        # local kept malloc from trimming its heap (clips_csv RSS +2.3 MB).
-        if a == 0 or b == n:
-            part = np.concatenate((
-                2.0 * part[0] - part[pad:0:-1] if a == 0 else part[:0],
-                part,
-                2.0 * part[-1] - part[-2 : -pad - 2 : -1] if b == n else part[:0],
-            ))
-        if a == 0:
-            z = _step_state(sos, part[0])
-        fwd, z = kernels.sos_filter(sos, part, z)
-        del part  # each array is freed before the next piece's
-        if lone:
-            buf = fwd
-        else:
-            buf[lo:hi] = fwd
-        del fwd
+    n, span = len(x), kernels._SPAN
+    buf[:pad] = 2.0 * x[0] - x[pad:0:-1]
+    buf[pad + n :] = 2.0 * x[-1] - x[-2 : -pad - 2 : -1]
+    z = _step_state(sos, buf[0])
+    for lo in range(0, len(buf), span):
+        i, j = np.clip((lo - pad, lo + span - pad), 0, n)  # the piece's samples of x
+        buf[pad + i : pad + j] = x[i:j]
+        buf[lo : lo + span], z = kernels.sos_filter(sos, buf[lo : lo + span], z)
     z = _step_state(sos, buf[-1])
-    for lo, hi in reversed(spans):
-        bwd, z = kernels.sos_filter(sos, buf[lo:hi][::-1], z)
-        if lone:
-            buf = bwd[::-1]
-        else:
-            buf[lo:hi] = bwd[::-1]
-        del bwd
+    for lo in reversed(range(0, len(buf), span)):
+        piece = buf[lo : lo + span][::-1]
+        piece[:], z = kernels.sos_filter(sos, piece, z)
     return buf[pad : pad + n]
 
 

@@ -85,7 +85,17 @@ import numpy as np
 BLOCK = 128  # samples per block of the chain, a power of two: A^BLOCK is a repeated square
 GROUP = 4  # blocks per group of the chain: one output GEMM of this many rows
 _SCAN_BLOCK = 64  # samples per block of the scan, a power of two
-_SPAN = 1 << 15  # samples per chained pass: caps its rows; any multiple of GROUP * BLOCK gives the same bits
+# Samples per span of the chain and per piece of the zero-phase passes
+# (filtering._zero_phase), capping the rows those kernel calls lay out. Any
+# multiple of GROUP * BLOCK gives the chain the same bits, and perfbench's
+# stream chunks, of at most 8,800 samples, stay within one span. A piece's
+# ~1 MB arrays stay in cache from its read to its write. A 60 s
+# filtfilt_zero_phase at 20 and 300 Hz, one BLAS thread, 64-sample scan
+# blocks (Xeon, 2 MB L2 per core), medians of four sweeps: 2^15 40.7-42.0
+# ms, 2^16 40.0-41.2, 2^17 42.1-45.7, 2^18 45.3-46.9. 2^16 led 2^17 by
+# 2.1-4.5 ms, but within the run-to-run spread in three of the four, so the
+# value stays. 2^14 and 2^19 were 10-40% slower at 128-sample blocks.
+_SPAN = 1 << 17
 _SCAN_STEPS = 48  # block-transition powers kept: the scan covers 2^48 blocks
 HOLD = 256  # samples per group of the held zero-phase pass, at most: HOLD // bunch whole bunches
 
@@ -304,12 +314,20 @@ def _sos_blocked(operators: tuple, x: np.ndarray, start: np.ndarray, chained: bo
     system's basis. Returns (output, end state, group edge). The group
     edge is the start state of the group that x's last block is in, read
     from the chain's start states, or the end state if x is whole groups.
+    The scan's output is a view into the one allocation that also holds
+    its rows. glibc raises its mmap and trim thresholds to the largest
+    block it has unmapped, so a call's work area must be one block: as two,
+    a process that filters only short inputs gave the top of its heap back
+    to the system after every call and faulted it in again (a 1.5 s
+    follower, one kernel call a pass: ~470 page faults a call, none as one).
     """
     h, observe, carry, powers, steps = operators
     length, count = observe.shape[1], len(x)
     n_blocks = -(-count // length)
     r = count - (n_blocks - 1) * length  # inputs in the last block
-    rows = np.empty((-(-n_blocks // GROUP) * GROUP if chained else n_blocks, length + len(start)))
+    height, width = -(-n_blocks // GROUP) * GROUP if chained else n_blocks, length + len(start)
+    work = np.empty(height * (width + (0 if chained else length)))  # the rows, then the scan's output
+    rows = work[: height * width].reshape(height, width)
     rows[: n_blocks - 1, :length] = x[: count - r].reshape(n_blocks - 1, length)
     rows[n_blocks - 1, :r] = x[count - r :]
     rows[n_blocks - 1, r:length] = 0.0
@@ -323,7 +341,7 @@ def _sos_blocked(operators: tuple, x: np.ndarray, start: np.ndarray, chained: bo
         y = np.matmul(rows.reshape(-1, GROUP, rows.shape[1]), _output_matrix(h, observe))
     else:
         starts[1:] = _scan(rows[:-1, :length] @ carry[:length], steps, starts[0])
-        y = rows @ _output_matrix(h, observe)
+        y = np.matmul(rows, _output_matrix(h, observe), out=work[height * width :].reshape(height, length))
     end = rows[n_blocks - 1].dot(_advance(r, carry, powers))
     edge = starts[(n_blocks - 1) // GROUP * GROUP].copy() if count % (GROUP * length) else end
     return y.reshape(-1)[:count], end, edge

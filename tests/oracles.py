@@ -1,12 +1,12 @@
 """Plain references the package is held to: the biquad recurrence, the peak-hold envelope, printf CSV, WAV bytes."""
 
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ampenv import kernels
-from ampenv.filtering import _step_state
 
 
 def recurrence(sos, x, zi, number=float):
@@ -111,13 +111,34 @@ def held_operators(sos, bunch, hold):
     return bwd[::-1].T, z[:, 2 * states :].T, w[:, states:].T, w[:, :states].T
 
 
+def rest_state(sos, level):
+    """Each section's (s0, s1) delay pair at rest under a constant input ``level``, solved exactly, rounded once.
+
+    In fractions.Fraction from the float64 coefficients and level: at rest
+    a section's output is y = u (b0 + b1 + b2) / (1 + a1 + a2) for its input
+    u, the output of the section before, and its delay pair is
+    ((b1 + b2) u - (a1 + a2) y, b2 u - a2 y). Each value is then rounded to
+    float64. This is the step-response steady state that scipy's
+    ``lfilter_zi`` gives, solved with no code of the package's; on the
+    choice of start states for forward-backward filtering see Gustafsson,
+    "Determining the initial states in forward-backward filtering" (IEEE
+    TSP 1996).
+    """
+    u, pairs = Fraction(float(level)), []
+    for b0, b1, b2, a1, a2 in (map(Fraction, row) for row in np.asarray(sos, np.float64).tolist()):
+        y = u * (b0 + b1 + b2) / (1 + a1 + a2)
+        pairs.append([float((b1 + b2) * u - (a1 + a2) * y), float(b2 * u - a2 * y)])
+        u = y
+    return np.array(pairs)
+
+
 def peak_hold_envelope(sos, x, bunch, pad, run=recurrence):
     """The zero-phase peak-hold envelope of x, each pass run by ``run``: ``recurrence`` or ``reference``.
 
     Rectify, hold each ``bunch``-sample maximum, pad both ends with ``pad``
     odd reflections, then filter forward and backward over the whole
-    array, each pass from the steady state of its first sample
-    (``_step_state``).
+    array, each pass from the rest state at its first sample's level
+    (``rest_state``).
     """
     n = len(x)
     staircase = np.repeat(np.maximum.reduceat(np.abs(x), np.arange(0, n, bunch)), bunch)[:n]
@@ -126,8 +147,8 @@ def peak_hold_envelope(sos, x, bunch, pad, run=recurrence):
         staircase,
         2.0 * staircase[-1] - staircase[-2 : -pad - 2 : -1],
     ))
-    fwd, _ = run(sos, ext, _step_state(sos, ext[0]))
-    bwd, _ = run(sos, fwd[::-1], _step_state(sos, float(fwd[-1])))
+    fwd, _ = run(sos, ext, rest_state(sos, ext[0]))
+    bwd, _ = run(sos, fwd[::-1], rest_state(sos, fwd[-1]))
     return bwd[::-1][pad : pad + n]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ampenv import (
-    PRESETS, EnvelopeParams, Signal, SyntheticSpec, cli, filtering, kernels, read_wav, three_step_envelope, to_mono,
+    PRESETS, EnvelopeParams, Signal, SyntheticSpec, cli, kernels, read_wav, three_step_envelope, to_mono,
     write_wav,
 )
 from ampenv.cli import main
@@ -70,10 +70,10 @@ class TestEnvelopeCommand:
         assert code == 0
         assert (tmp_path / "pair.csv").exists() and (tmp_path / "pair.wav").exists()
 
-    def test_wav_is_the_same_from_every_format_across_pieces(self, capsys, tone_wav, tmp_path, monkeypatch):
+    def test_wav_is_the_same_from_every_format_across_pieces(self, capsys, tone_wav, tmp_path, set_span):
         # 13,230 samples in pieces of 1,000: the WAV written alone, beside
         # the CSV, and from three_step_envelope are the same bytes.
-        monkeypatch.setattr(filtering, "_PIECE", 1000)
+        set_span(1000)
         code, _, stderr = run(capsys, "envelope", str(tone_wav), "-o", str(tmp_path / "only.wav"), "--preset", "canary")
         assert (code, stderr) == (0, "")
         code, _, stderr = run(capsys, "envelope", str(tone_wav), "-o", str(tmp_path / "both"), "--preset", "canary", "--format", "both")
@@ -84,12 +84,12 @@ class TestEnvelopeCommand:
         assert (tmp_path / "only.wav").read_bytes() == (tmp_path / "expected.wav").read_bytes()
 
     @pytest.mark.parametrize("bunch", [50, 300])
-    def test_staircase_filtered_at_the_group_rate_up_to_the_hold(self, bunch, capsys, tone_wav, tmp_path, monkeypatch):
+    def test_staircase_filtered_at_the_group_rate_up_to_the_hold(self, bunch, capsys, tone_wav, tmp_path, monkeypatch, set_span):
         # 13,230 samples in pieces of 1,000. Bunches up to kernels.HOLD run
         # no full-rate pass: three kernel calls, on the pads and the samples
         # after the last whole group. Bunch 300 filters the staircase in
         # pieces. Either way the WAV is three_step_envelope's.
-        monkeypatch.setattr(filtering, "_PIECE", 1000)
+        piece = set_span(1000)
         calls = []
         sos_filter = kernels.sos_filter
         monkeypatch.setattr(kernels, "sos_filter", lambda *a: calls.append(len(a[1])) or sos_filter(*a))
@@ -100,7 +100,7 @@ class TestEnvelopeCommand:
         if bunch <= kernels.HOLD:
             assert len(calls) == 3 and max(calls) <= kernels.HOLD // bunch * bunch + 2 * pad
         else:
-            assert len(calls) == 2 * len(range(0, n - pad, 1000)) and sum(calls) == 2 * (n + 2 * pad)
+            assert len(calls) == 2 * -(-(n + 2 * pad) // piece) and sum(calls) == 2 * (n + 2 * pad)
         expected = three_step_envelope(to_mono(read_wav(tone_wav)), EnvelopeParams(bunch)).envelope
         write_wav(tmp_path / "expected.wav", expected)
         assert out.read_bytes() == (tmp_path / "expected.wav").read_bytes()

@@ -151,18 +151,45 @@ class TestThreeStep:
         ],
         ids=[*PRESETS, "bunch200-20Hz", "bunch1-150Hz", "bunch300-100Hz", "bunch1003-20Hz"],
     )
-    def test_deviation_within_the_recurrence(self, params, monkeypatch):
+    def test_deviation_within_the_recurrence(self, params, set_span):
         # The presets and bunch 200 run at the group rate, which has no
         # pieces. The follower's bunch of 1 and bunches above kernels.HOLD
         # filter the staircase in pieces, and pieces of 4,096 samples make
         # them carry the state across seven piece edges each way. The bar is
         # that of test_blocked_deviation_within_the_recurrence.
-        monkeypatch.setattr(filtering, "_PIECE", 4096)
+        set_span(4096)
         rate = 44100.0
         x = pcm16_tone(30000, rate)
         design = butterworth_lowpass(FilterSpec(params.cutoff_hz, rate, params.filter_order))
         envelope = three_step_envelope(Signal(x, rate), params).envelope.samples
         assert_within_the_recurrence(design.sections, x, params.bunch_size, filtering.default_pad_len(design), envelope)
+
+    def test_a_wrong_rest_state_fails_the_recurrence_gate(self, monkeypatch):
+        # The oracle solves its rest state on its own, so a rest state off
+        # by 1e-9 in the package shifts the envelope (by ~1e-9 of the peak)
+        # and not the oracle.
+        def clear():
+            for cache in (kernels._design, kernels._block_operators, kernels._held_operators):
+                cache.cache_clear()
+
+        state_space = kernels._state_space
+
+        def wrong(sos):
+            *system, rest = state_space(sos)
+            return (*system, rest * (1 + 1e-9))
+
+        monkeypatch.setattr(kernels, "_state_space", wrong)
+        clear()
+        try:
+            x = pcm16_tone(3000)
+            design = butterworth_lowpass(FilterSpec(150.0, 44100.0))
+            for bunch in (1, 50, 300):
+                envelope = three_step_envelope(Signal(x, 44100.0), EnvelopeParams(bunch, 150.0)).envelope.samples
+                with pytest.raises(AssertionError):
+                    assert_within_the_recurrence(design.sections, x, bunch, filtering.default_pad_len(design), envelope)
+        finally:
+            monkeypatch.undo()
+            clear()
 
     @pytest.mark.parametrize("cutoff, order, bunch, n", edge_cases())
     def test_edges_within_the_recurrence(self, cutoff, order, bunch, n):

@@ -348,18 +348,43 @@ class TestFiltfiltZeroPhase:
 
 
 class TestPieces:
-    """Inputs longer than a piece: the passes run piece by piece into one buffer."""
+    """Inputs longer than a piece: the passes run piece by piece in one padded buffer."""
 
     PIECE = 1000
 
+    @staticmethod
+    def cut(r, k, piece, pad):
+        """(piece, n) for case ``r``: n = k * piece + r, or a piece edge at r in the padded buffer.
+
+        The input lies at [pad, pad + n) of the buffer, and pieces start at
+        every multiple of the piece. "end-d" puts the edge k * piece d
+        samples before the input's end and "end+d" d samples after it
+        ("end+pad" ends the buffer on it); "start+d" and "start-1" shrink the
+        piece to put its first edge there (the edge at 0 is always pad
+        samples before the start).
+        """
+        if r.startswith("start"):
+            return pad + {"start": 0, "start-1": -1, "start+1": 1, "start+pad": pad, "start+pad+1": pad + 1}[r], k * piece + 1
+        ends = {"end": 0, "end-1": 1, "end-pad": pad, "end+1": -1, "end+pad": -pad, "end+pad+1": -pad - 1}
+        if r in ends:
+            return piece, k * piece - pad + ends[r]
+        return piece, k * piece + {"1": 1, "pad": pad, "pad+1": pad + 1, "piece-1": piece - 1}[r]
+
     @pytest.mark.parametrize("bunch", [None, 1, 7, 37, PIECE + 3])
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("r", ["1", "pad", "pad+1", "piece-1"])
-    def test_matches_one_whole_array_pass(self, bunch, k, r, rng, monkeypatch):
-        monkeypatch.setattr(filtering, "_PIECE", self.PIECE)
+    @pytest.mark.parametrize(
+        "r",
+        [
+            "1", "pad", "pad+1", "piece-1",
+            "end", "end-1", "end-pad", "end+1", "end+pad", "end+pad+1",
+            "start", "start-1", "start+1", "start+pad", "start+pad+1",
+        ],
+    )
+    def test_matches_one_whole_array_pass(self, bunch, k, r, rng, monkeypatch, set_span):
         design = make_design(cutoff=1000.0)
-        pad, piece = default_pad_len(design), self.PIECE
-        n = k * piece + {"1": 1, "pad": pad, "pad+1": pad + 1, "piece-1": piece - 1}[r]
+        pad = default_pad_len(design)
+        piece, n = self.cut(r, k, self.PIECE, pad)
+        set_span(piece)
         sig = Signal(rng.standard_normal(n), 44100.0)
         calls = count_kernel_calls(monkeypatch)
         if bunch is None:
@@ -375,9 +400,9 @@ class TestPieces:
             span = kernels.HOLD // bunch * bunch
             assert len(calls) == 3 and max(calls) <= span + 2 * pad
         else:
-            # A piece starts every ``piece`` samples while more than the pad are left.
-            assert len(calls) == 2 * len(range(0, n - pad, piece)) and sum(calls) == 2 * (n + 2 * pad)
-            assert len(calls) > 2 or n <= piece + pad
+            # A piece starts every ``piece`` samples of the padded buffer.
+            assert len(calls) == 2 * -(-(n + 2 * pad) // piece) and max(calls) <= piece
+            assert sum(calls) == 2 * (n + 2 * pad)
         whole = scanned_zero_phase(design, staircase)
         assert np.max(np.abs(ours - whole)) <= 1e-12 * np.max(np.abs(whole))
         sos = np.column_stack((design.sections[:, :3], np.ones(2), design.sections[:, 3:]))
@@ -386,13 +411,13 @@ class TestPieces:
 
     @pytest.mark.parametrize("bunch", [1, 7, 37, PIECE + 3])
     @pytest.mark.parametrize("n", [PIECE + 27, 3 * PIECE + 1, 3 * PIECE + 500])  # pad 27
-    def test_envelope_equals_the_stages_bit_for_bit(self, bunch, n, rng, monkeypatch):
+    def test_envelope_equals_the_stages_bit_for_bit(self, bunch, n, rng, set_span):
         # Pieces are cut where they are whatever the bunch, so the envelope
         # made in pieces is the zero-phase filter of the whole staircase.
         # Bunches of 7 and 37 run at the group rate, from the staircase's
         # peaks in the stages too; they are also held to the long-double
         # recurrence.
-        monkeypatch.setattr(filtering, "_PIECE", self.PIECE)
+        set_span(self.PIECE)
         p = EnvelopeParams(bunch, 1000.0)
         sig = Signal(rng.standard_normal(n), 44100.0)
         envelope = three_step_envelope(sig, p).envelope.samples
@@ -406,19 +431,22 @@ class TestPieces:
 
     def test_peak_memory_is_one_buffer_and_a_few_pieces(self):
         # The buffer of n + 2 * pad samples, Signal's one-byte-a-sample
-        # finiteness check, and a piece's staircase, padded copy, kernel rows
-        # and output. Whole-length rectified, staircase and pass arrays would
-        # each add 8 MB.
+        # finiteness check, and a piece's kernel rows and output. The
+        # envelopes stage the staircase in the buffer; filtfilt_zero_phase
+        # copies each piece of its input in just before filtering it.
+        # Whole-length rectified, staircase and pass arrays would each add
+        # 8 MB.
         n = 1 << 20
         sig = Signal(np.sin(np.arange(n) * 0.01), 44100.0)
-        pad = default_pad_len(make_design())
-        bound = 8 * (n + 2 * pad) + n + 4 * 8 * filtering._PIECE + (1 << 18)
-        for bunch in (1, 50, 300):
-            params = EnvelopeParams(bunch)
-            three_step_envelope(sig, params)  # operators built outside the trace
+        design = make_design()
+        pad = default_pad_len(design)
+        bound = 8 * (n + 2 * pad) + n + 4 * 8 * kernels._SPAN + (1 << 18)
+        envelopes = [lambda bunch=bunch: three_step_envelope(sig, EnvelopeParams(bunch)) for bunch in (1, 50, 300)]
+        for run in (*envelopes, lambda: filtfilt_zero_phase(design, sig)):
+            run()  # operators built outside the trace
             tracemalloc.start()
             try:
-                three_step_envelope(sig, params)
+                run()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -509,14 +537,14 @@ class TestHeldStaircase:
         np.testing.assert_array_equal(ours, envelope)
 
     @pytest.mark.parametrize("source", list(UNHELD))
-    def test_every_other_signal_takes_the_pieces(self, source, rng, tmp_path, monkeypatch):
-        monkeypatch.setattr(filtering, "_PIECE", 1000)
+    def test_every_other_signal_takes_the_pieces(self, source, rng, tmp_path, monkeypatch, set_span):
         design = make_design(cutoff=300.0)
         s = UNHELD[source](Signal(rng.standard_normal(3500), 44100.0), design, tmp_path)
-        n = len(s)
+        n, piece = len(s), set_span(1000)
         calls = count_kernel_calls(monkeypatch)
         ours = filtfilt_zero_phase(design, s).samples
-        assert len(calls) == 2 * len(range(0, n - PAD, 1000)) > 2 and sum(calls) == 2 * (n + 2 * PAD)
+        assert len(calls) == 2 * -(-(n + 2 * PAD) // piece) > 2 and max(calls) <= piece
+        assert sum(calls) == 2 * (n + 2 * PAD)
         pieces = filtering._zero_phase(design.sections, s.samples, np.empty(n + 2 * PAD), PAD)
         np.testing.assert_array_equal(ours, pieces)
 

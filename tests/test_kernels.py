@@ -145,7 +145,7 @@ def test_a_group_gives_the_same_bits_alone_and_among_others(cutoff_hz, rng):
         np.testing.assert_array_equal(alone, whole[2 * span : 2 * span + n])
 
 
-def test_the_span_bound_leaves_the_bits(rng, monkeypatch):
+def test_the_span_bound_leaves_the_bits(rng, set_span):
     # The chain runs in spans of kernels._SPAN samples; any whole number of
     # groups gives the same outputs and state.
     sos = sections(150.0)
@@ -153,7 +153,7 @@ def test_the_span_bound_leaves_the_bits(rng, monkeypatch):
     zi = FilterState(rng.standard_normal((2, 2)))
     whole, whole_zf = kernels.sos_filter(sos, x, zi)
     for span in (GROUP * BLOCK, 3 * GROUP * BLOCK):
-        monkeypatch.setattr(kernels, "_SPAN", span)
+        set_span(span)
         got, zf = kernels.sos_filter(sos, x, zi)
         np.testing.assert_array_equal(got, whole)
         np.testing.assert_array_equal(zf.values, whole_zf.values)
