@@ -6,14 +6,16 @@ the layer perfbench traces. It uses the block formulation of Nehab et al.,
 The cascade is one linear system with two states per section. A block of
 L samples has as output a lower-triangular Toeplitz matrix of the impulse
 response times the block's input, plus an observability matrix times the
-state at the block's start. The operators are built once per design and
-block length in ``np.longdouble`` and rounded once to float64.
+state at the block's start; the two, stacked, are one (L + S, L) output
+matrix for S states. Every operator, that matrix included, is built once
+per design and block length in ``np.longdouble`` and rounded once to
+float64; a call only lays out its rows and multiplies.
 
 One pass, ``_sos_blocked``, runs every call. It lays x out as one row
 per block: the block's L inputs (the last block's zero-padded),
 then room for the block's start state. It fills those states from the
 start state in one of two ways, below; every block's output is then its
-row @ one (L + S, L) matrix, and the end state is the last row @ the
+row @ the output matrix, and the end state is the last row @ the
 advance over that block's inputs. The states stay in the system's basis
 between blocks, groups and spans; the (s0, s1) delay pairs that callers
 see exist only at ``sos_filter``'s boundary, where ``zi`` comes in and the
@@ -194,14 +196,16 @@ def _block_operators(key: bytes, length: int):
       a median of 0.77 ms at 64-sample blocks, 0.97 at 32, 1.02 at 128 and
       2.45 at 256: below 64 the scan's doubling steps and the per-block
       rows cost more than the output product saves.
-    - The chain's ``BLOCK`` = 128, in groups of ``GROUP`` = 4. At 64 the
-      chain takes a Python step for twice as many blocks, and a stream of
-      200 chunks of 1-200 bunches ran within 3% of 128 (31.3 ms in groups
-      of 8, 30.7 in groups of 4, against 31.6). That does not pay for
-      changing every streamed bit, which CI checks under four core types.
+    - The chain's ``BLOCK`` = 128, in groups of ``GROUP`` = 4, because
+      the chain is faster there. At 64 it takes a Python step for twice
+      as many blocks: perfbench's ``stream_chunks`` (10 s runs, 4 pairs)
+      read 667-694 audio_s/s against 720-788 at 128, with a job_ms_tail
+      of 0.31-0.36 ms against 0.27-0.32.
 
-    Returns (h, observe, carry, powers, steps), for L = ``length``: h is
-    the impulse response after L - 1 zeros; observe's column k is C A^k;
+    Returns (output, carry, powers, steps), for L = ``length``: a block's
+    outputs are [its inputs, its start state] @ output, of shape (L + S, L),
+    the transposed Toeplitz matrix of the impulse response (row j: j zeros,
+    then h) over the rows C A^k, C-ordered (the products round by it);
     the state a block's first k inputs add is those inputs @
     carry[L - k : 2L - k], whose last L - k rows are zeros; powers[k] is
     (A^k)^T for k up to L; steps[j] is (A^(L * 2^j))^T, for the scan over
@@ -209,10 +213,10 @@ def _block_operators(key: bytes, length: int):
     """
     a, b, c, d = _design(key)[0]
     ab, ca, powers = _series(a, b, c, length)
-    h = np.concatenate((np.zeros(length - 1), [d], ca[:-1] @ b))
+    h = np.concatenate(([d], ca[:-1] @ b))  # the impulse response, L samples
+    t = np.arange(length)  # Toeplitz row j, column t: h[t - j], zeroed by triu where t < j wraps round
     return (
-        _shared(h),
-        _shared(ca.T),
+        _shared(np.concatenate((np.triu(h[t - t[:, None]]), ca.T))),
         _shared(np.concatenate((ab[::-1], np.zeros_like(ab)))),
         _shared(powers),
         _steps(powers[length].T),
@@ -271,19 +275,6 @@ def _shared(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _output_matrix(h: np.ndarray, observe: np.ndarray) -> np.ndarray:
-    """A block's output row is [input row, start state] @ this matrix, for blocks of ``observe``'s L columns.
-
-    Row j of the transposed Toeplitz part is h[L - 1 - j : 2L - 1 - j]: j
-    zeros, then the impulse response. Built per call: caching it with the
-    operators raised the peak RSS of a 60 s file's envelope by 4.7% (127.4
-    to 133.4 MB).
-    """
-    length, step = observe.shape[1], h.itemsize
-    toeplitz = np.ndarray((length, length), buffer=h, offset=(length - 1) * step, strides=(-step, step))
-    return np.concatenate((toeplitz, observe))
-
-
 def _advance(r: int, carry: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """A block row @ this matrix is the system state after the block's first r inputs; L = ``len(powers) - 1``."""
     length = len(powers) - 1
@@ -321,8 +312,8 @@ def _sos_blocked(operators: tuple, x: np.ndarray, start: np.ndarray, chained: bo
     to the system after every call and faulted it in again (a 1.5 s
     follower, one kernel call a pass: ~470 page faults a call, none as one).
     """
-    h, observe, carry, powers, steps = operators
-    length, count = observe.shape[1], len(x)
+    output, carry, powers, steps = operators
+    length, count = output.shape[1], len(x)
     n_blocks = -(-count // length)
     r = count - (n_blocks - 1) * length  # inputs in the last block
     height, width = -(-n_blocks // GROUP) * GROUP if chained else n_blocks, length + len(start)
@@ -338,10 +329,10 @@ def _sos_blocked(operators: tuple, x: np.ndarray, start: np.ndarray, chained: bo
         advance = _advance(length, carry, powers)
         for k in range(1, n_blocks):  # np.dot: half the call cost of @ at this size
             np.dot(rows[k - 1], advance, out=starts[k])
-        y = np.matmul(rows.reshape(-1, GROUP, rows.shape[1]), _output_matrix(h, observe))
+        y = np.matmul(rows.reshape(-1, GROUP, rows.shape[1]), output)
     else:
         starts[1:] = _scan(rows[:-1, :length] @ carry[:length], steps, starts[0])
-        y = np.matmul(rows, _output_matrix(h, observe), out=work[height * width :].reshape(height, length))
+        y = np.matmul(rows, output, out=work[height * width :].reshape(height, length))
     end = rows[n_blocks - 1].dot(_advance(r, carry, powers))
     edge = starts[(n_blocks - 1) // GROUP * GROUP].copy() if count % (GROUP * length) else end
     return y.reshape(-1)[:count], end, edge

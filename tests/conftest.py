@@ -31,3 +31,21 @@ def set_span(monkeypatch):
         return samples
 
     return set_to
+
+
+@pytest.fixture
+def fresh_operators():
+    """Empties the kernel's three operator caches before and after the test; returns the function that empties them.
+
+    For tests that count operator builds or patch what operators are built
+    from: they start with no cached operator and leave none behind. A test
+    that builds under two patches calls the function between them.
+    """
+
+    def clear():
+        for cache in (kernels._design, kernels._block_operators, kernels._held_operators):
+            cache.cache_clear()
+
+    clear()
+    yield clear
+    clear()

@@ -152,11 +152,25 @@ def peak_hold_envelope(sos, x, bunch, pad, run=recurrence):
     return bwd[::-1][pad : pad + n]
 
 
+# The kernel's own deviation bar, in fractions of the peak: an envelope
+# lies within 1/16 of the float64 recurrence's deviation, or within this
+# floor where that is larger. On the tests' 136 envelopes on one BLAS
+# thread the kernel sat at 0.0007-0.23 of the recurrence's deviation, and
+# where above 1/16 of it, at most 8.0e-15 of the peak under OpenBLAS's
+# default, Haswell and Nehalem core types and 6.4e-15 under SandyBridge.
+# The floor is 2.5x the largest. A rest state off by 1e-13 moves the
+# envelope ~1e-13 of the peak, which the recurrence's own deviation
+# (2e-13 to 5e-13 of the peak at 150 Hz) would let through.
+_KERNEL_FLOOR = 2e-14
+
+
 def assert_within_the_recurrence(sos, x, bunch, pad, envelope):
-    """Assert that ``envelope`` lies no further from the long-double peak-hold envelope than the float64 recurrence.
+    """Assert that ``envelope`` lies as close to the long-double peak-hold envelope as the kernel does.
 
     Distances are max |y - reference| over max |reference|, the reference
-    being ``peak_hold_envelope`` run by ``reference``. Skips the test where
+    being ``peak_hold_envelope`` run by ``reference``. The envelope's
+    distance is at most the float64 recurrence's, and at most 1/16 of it
+    or ``_KERNEL_FLOOR``, whichever is larger. Skips the test where
     np.longdouble is float64, which leaves no extended-precision reference.
     """
     if not has_extended_precision:
@@ -166,7 +180,9 @@ def assert_within_the_recurrence(sos, x, bunch, pad, envelope):
     blocked, sequential = (
         float(np.max(np.abs(y - precise)) / scale) for y in (envelope, peak_hold_envelope(sos, x, bunch, pad))
     )
-    assert blocked <= sequential, "%.3g of the peak, the float64 recurrence %.3g" % (blocked, sequential)
+    message = "%.3g of the peak, the float64 recurrence %.3g" % (blocked, sequential)
+    assert blocked <= sequential, message
+    assert blocked <= max(sequential / 16, _KERNEL_FLOOR), message
 
 
 has_extended_precision = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps

@@ -155,8 +155,7 @@ class TestThreeStep:
         # The presets and bunch 200 run at the group rate, which has no
         # pieces. The follower's bunch of 1 and bunches above kernels.HOLD
         # filter the staircase in pieces, and pieces of 4,096 samples make
-        # them carry the state across seven piece edges each way. The bar is
-        # that of test_blocked_deviation_within_the_recurrence.
+        # them carry the state across seven piece edges each way.
         set_span(4096)
         rate = 44100.0
         x = pcm16_tone(30000, rate)
@@ -164,32 +163,27 @@ class TestThreeStep:
         envelope = three_step_envelope(Signal(x, rate), params).envelope.samples
         assert_within_the_recurrence(design.sections, x, params.bunch_size, filtering.default_pad_len(design), envelope)
 
-    def test_a_wrong_rest_state_fails_the_recurrence_gate(self, monkeypatch):
+    def test_a_wrong_rest_state_fails_the_recurrence_gate(self, monkeypatch, fresh_operators):
         # The oracle solves its rest state on its own, so a rest state off
         # by 1e-9 in the package shifts the envelope (by ~1e-9 of the peak)
-        # and not the oracle.
-        def clear():
-            for cache in (kernels._design, kernels._block_operators, kernels._held_operators):
-                cache.cache_clear()
-
+        # and not the oracle. Off by 1e-13 it shifts it by ~1e-13 of the
+        # peak: below the float64 recurrence's deviation, but above the
+        # kernel's bar.
         state_space = kernels._state_space
 
         def wrong(sos):
             *system, rest = state_space(sos)
-            return (*system, rest * (1 + 1e-9))
+            return (*system, rest * (1 + error))
 
         monkeypatch.setattr(kernels, "_state_space", wrong)
-        clear()
-        try:
-            x = pcm16_tone(3000)
-            design = butterworth_lowpass(FilterSpec(150.0, 44100.0))
+        x = pcm16_tone(3000)
+        design = butterworth_lowpass(FilterSpec(150.0, 44100.0))
+        for error in (1e-9, 1e-13):
+            fresh_operators()  # the rest state is built once per design
             for bunch in (1, 50, 300):
                 envelope = three_step_envelope(Signal(x, 44100.0), EnvelopeParams(bunch, 150.0)).envelope.samples
                 with pytest.raises(AssertionError):
                     assert_within_the_recurrence(design.sections, x, bunch, filtering.default_pad_len(design), envelope)
-        finally:
-            monkeypatch.undo()
-            clear()
 
     @pytest.mark.parametrize("cutoff, order, bunch, n", edge_cases())
     def test_edges_within_the_recurrence(self, cutoff, order, bunch, n):
@@ -199,10 +193,9 @@ class TestThreeStep:
         assert len(envelope) == n
         assert_within_the_recurrence(design.sections, x, bunch, filtering.default_pad_len(design), envelope.samples)
 
-    def test_a_second_call_builds_no_operators(self, rng):
+    def test_a_second_call_builds_no_operators(self, rng, fresh_operators):
         # Operators are kept per (design, bunch); a call of another length
         # runs its own tail through the kernel, with no operator of its own.
-        kernels._held_operators.cache_clear()
         p = EnvelopeParams(37, 700.0)
         three_step_envelope(Signal(rng.standard_normal(3000), 44100.0), p)
         assert kernels._held_operators.cache_info().misses == 1

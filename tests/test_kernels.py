@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -202,11 +203,9 @@ def test_reversed_view_matches_copy(n, rng):
         np.testing.assert_array_equal(got_state.values, copy_state.values)
 
 
-def test_one_long_double_system_per_design(monkeypatch, rng):
+def test_one_long_double_system_per_design(monkeypatch, rng, fresh_operators):
     # The scan's and the chain's block operators and the group-rate ones
     # are all built from the one system _design solves per design.
-    for cache in (kernels._design, kernels._block_operators, kernels._held_operators):
-        cache.cache_clear()
     built = []
     state_space = kernels._state_space
     monkeypatch.setattr(kernels, "_state_space", lambda sos: built.append(sos) or state_space(sos))
@@ -217,6 +216,50 @@ def test_one_long_double_system_per_design(monkeypatch, rng):
     kernels._held_operators(kernels._key(sos), 50)
     assert len(built) == 1
     assert kernels._block_operators.cache_info().currsize == 2
+
+
+def test_cached_operators_are_read_only(fresh_operators):
+    # Every later call shares what the caches hold, so no part of it may be
+    # written: the design's long-double system and float64 maps, and each
+    # block length's and bunch's operators, down to every scan step.
+    key = kernels._key(sections(150.0))
+    cached = [
+        kernels._design(key),
+        kernels._block_operators(key, _SCAN_BLOCK),
+        kernels._block_operators(key, BLOCK),
+        kernels._held_operators(key, 2),
+        kernels._held_operators(key, 50),
+    ]
+    leaves = []
+    while cached:
+        part = cached.pop()
+        if isinstance(part, tuple):
+            cached.extend(part)
+        else:
+            leaves.append(part)
+    assert len(leaves) > 4 * kernels._SCAN_STEPS
+    assert not [leaf for leaf in leaves if leaf.flags.writeable]
+
+
+@pytest.mark.parametrize("order", [4, 8])
+@pytest.mark.parametrize("chained", [False, True])
+def test_a_warm_call_allocates_less_than_one_output_matrix(order, chained, fresh_operators, rng):
+    # The (L + S, L) output matrix is built once per design and block
+    # length, with the other block operators; a later call allocates only
+    # its rows, its states and its output.
+    sos = butterworth_lowpass(FilterSpec(150.0, 44100.0, order)).sections
+    length = BLOCK if chained else _SCAN_BLOCK
+    zi = np.zeros((len(sos), 2))
+    start = FilterState(zi) if chained else zi
+    x = rng.standard_normal(300)
+    kernels.sos_filter(sos, x, start)
+    tracemalloc.start()
+    try:
+        kernels.sos_filter(sos, x, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (length + 2 * len(sos)) * length * 8
 
 
 def test_empty_input_keeps_the_state(rng):
