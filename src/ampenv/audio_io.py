@@ -242,18 +242,15 @@ _CSV_BLOCK = 4096  # write_csv rows per encoded block; bounds the encoder's buff
 # two little-endian uint64 words (lo, hi). A field (digits, dot, exponent
 # suffix and separator; the sign is written apart) is at most 15 bytes. It is
 # built from two copies of those words: the digits before the dot where they
-# lie, and the digits after it shifted A bytes up. A = 1 leaves a byte for
-# the dot. In fixed notation below 1 the text is "0." and -e - 1 zeros, then
-# all of m's digits, so the leading zeros are a shift of A = 1 - e bytes; for
-# e = 8 the ninth digit, in hi, is shifted by A = 0. Exponent notation (e in
-# [-14, -5]) is "d.dddddddde-XX": one digit before the dot, a four-byte
-# suffix after the last. The masks that keep either copy's digits, the
-# field's constant bytes ("0.000", ".", "e-05", the separator ","), A and the
+# lie, and the digits after it shifted A bytes up. The masks that keep either
+# copy's digits, the field's constant bytes and separator ",", A and the
 # field's length come from tables indexed by its shape: x and the count of
-# m's digits up to its last nonzero one. Each field is then shifted to its
-# byte offset in the output's 8-byte words and summed in with np.add.at.
-# Fields cover disjoint bytes, so the sum is their concatenation; each row's
-# last separator is then overwritten with a newline.
+# m's digits up to its last nonzero one. Where each digit and constant byte
+# lies is read from printf's text for one value of the shape
+# (``_field_text``). Each field is then shifted to its byte offset in the
+# output's 8-byte words and summed in with np.add.at. Fields cover disjoint
+# bytes, so the sum is their concatenation; each row's last separator is
+# then overwritten with a newline.
 #
 # A field's bytes other than its sign depend only on |v|, and each sign is
 # placed from the value's own sign bit. So a column that equals |previous
@@ -289,17 +286,19 @@ class _CsvTables(NamedTuple):
 
 
 def _field_text(x: int, significant: int) -> list:
-    """A field's text without sign and separator: per byte, a digit's index in m or a constant character."""
-    e = x - _X_BIAS
-    if x == 0:  # printf writes the field
-        return []
-    if x == 1:  # 0; every other |v| < 1e-14 has x = 0
-        return ["0"]
-    if -4 <= e < 0:
-        return list("0." + "0" * (-e - 1)) + list(range(significant))
-    point, suffix = (1, list("e-%02d" % -e)) if e < 0 else (e + 1, [])
-    digits = list(range(max(significant, point)))
-    return digits[:point] + (["."] + digits[point:] if digits[point:] else []) + suffix
+    """A field's text without sign and separator: per byte, a digit's index in m or a constant character.
+
+    Taken from printf's own text for one value of the shape: the value
+    whose m starts with ``significant`` digits of "123456789" and ends in
+    zeros, at exponent e = x - 16. Those digits are all different, so each
+    one printf writes before any "e" names its place in m; every other
+    byte (the point, zeros before or after it, the exponent) is constant.
+    """
+    if x < 2:  # printf writes the field (x = 0), or the value is 0 (x = 1)
+        return list("0"[:x])
+    digits = "123456789"[:significant]
+    mantissa, e, exponent = ("%.9g" % float("%se%d" % (digits.ljust(9, "0"), x - _X_BIAS - 8))).partition("e")
+    return [int(c) - 1 if c in digits else c for c in mantissa] + list(e + exponent)
 
 
 @functools.cache

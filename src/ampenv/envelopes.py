@@ -159,8 +159,6 @@ def envelope_rms(s: Signal, window_samples: int = RMS_WINDOW) -> EnvelopeResult:
     w = _positive_int(window_samples, "invalid window: %(value)r")
     x = s.samples
     n = x.shape[0]
-    if n == 0:
-        return EnvelopeResult(Signal._wrap(x.copy(), s.sample_rate), "rms", {"window_samples": w})
     left, right = w // 2, w - w // 2 - 1  # window samples on each side of center
     # The squares, zero-padded so that output i's window is padded[i : i + w].
     # Window sums are built by doubling over the binary digits of w: the sum

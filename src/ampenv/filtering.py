@@ -182,14 +182,14 @@ def _held_zero_phase(sos: np.ndarray, peaks: np.ndarray, out: np.ndarray, bunch:
     fwd, _ = kernels.sos_filter(sos, tail, z)
     bwd, w = kernels.sos_filter(sos, fwd[::-1], _step_state(sos, fwd[-1]))
     out[count * span :] = bwd[: pad - 1 : -1]
-    if count:
-        rows[-1, :states] = to_system.dot(w.reshape(-1))
-        # From the last group back to the second.
-        rows[:-1, :states] = kernels._scan(rows[:0:-1, states:] @ back, steps, rows[-1, :states])[::-1]
-        body = out[: count * span].reshape(count, span)
-        step = max(1, _BODY_MACS // group.size)
-        for i in range(0, count, step):
-            np.matmul(rows[i : i + step], group, out=body[i : i + step])
+    w = to_system.dot(w.reshape(-1))
+    rows[-1:, :states] = w
+    # From the last group back to the second.
+    rows[:-1, :states] = kernels._scan(rows[:0:-1, states:] @ back, steps, w)[::-1]
+    body = out[: count * span].reshape(count, span)
+    step = max(1, _BODY_MACS // group.size)
+    for i in range(0, count, step):
+        np.matmul(rows[i : i + step], group, out=body[i : i + step])
     return out
 
 

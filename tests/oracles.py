@@ -111,6 +111,28 @@ def held_operators(sos, bunch, hold):
     return bwd[::-1].T, z[:, 2 * states :].T, w[:, states:].T, w[:, :states].T
 
 
+def held_peak_operator(sos, bunch, hold):
+    """O_u, the peak block of the group-rate operator, from ``reference`` over one group; np.longdouble.
+
+    Row j is the zero-phase envelope, over one group of L = G * bunch
+    samples (G = ``hold // bunch``), of a unit peak j held for its bunch:
+    forward from zero delay pairs, then backward from zero over the
+    forward output reversed. Zero is zero in every basis, so O_u needs no
+    basis map and no code of the package's. ``kernels._held_operators``
+    holds it as its group operator's last G rows.
+    """
+    width = hold // bunch
+    zero = np.zeros((len(sos), 2))
+    rows = []
+    for j in range(width):
+        held = np.zeros(width * bunch)
+        held[j * bunch : (j + 1) * bunch] = 1.0
+        fwd, _ = reference(sos, held, zero)
+        bwd, _ = reference(sos, fwd[::-1], zero)
+        rows.append(bwd[::-1])
+    return np.array(rows)
+
+
 def rest_state(sos, level):
     """Each section's (s0, s1) delay pair at rest under a constant input ``level``, solved exactly, rounded once.
 

@@ -164,11 +164,12 @@ def equals_printf(tmp_path, values) -> bool:
 
 
 def decade(e: int, rng) -> list:
-    """Values with printf exponent e: both ends of [10^e, 10^(e + 1)), and mantissas with zero groups and at random."""
+    """Values with printf exponent e: both ends of [10^e, 10^(e + 1)), mantissas of 1-9 significant digits, and at random."""
     first, last = float("1e%d" % e), np.nextafter(float("1e%d" % (e + 1)), 0.0)
     ends = [first, np.nextafter(first, 1.0), last, np.nextafter(last, 0.0)]
     ends += [float("%se%d" % (digits, e)) for digits in ("1.00000001", "1.000000005", "9.99999999", "9.999999994")]
-    mantissas = [100000001, 100001000, 101000000, 100000010, 120000000, *rng.integers(10**8, 10**9, 200)]
+    mantissas = [100000001, 100001000, 101000000, 100000010, 120000000, 123400000, 123450000, 123456700]
+    mantissas += rng.integers(10**8, 10**9, 200).tolist()
     return ends + [float("%de%d" % (m, e - 8)) for m in mantissas]
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import has_extended_precision, held_operators, recurrence, reference
+from oracles import has_extended_precision, held_operators, held_peak_operator, recurrence, reference
 
 from ampenv import FilterSpec, butterworth_lowpass, kernels
 from ampenv.filtering import _step_state
@@ -91,7 +91,9 @@ def test_block_lengths_agree_with_the_recurrence(n, rng):
 def test_held_operators_within_an_ulp_of_the_recurrence(cutoff_hz, order, bunch):
     # Each operator is built in np.longdouble and rounded once, so it lies
     # within an ulp of its largest entry from one group run through the
-    # long-double recurrence.
+    # long-double recurrence. That oracle runs the package's own system, so
+    # it errs like the kernel; of these blocks only O_u is also held to an
+    # oracle of its own (the test below).
     sos = butterworth_lowpass(FilterSpec(cutoff_hz, 44100.0, order)).sections
     group, gamma, back, steps = kernels._held_operators(kernels._key(sos), bunch)[:4]
     expected = held_operators(sos, bunch, kernels.HOLD)
@@ -99,6 +101,53 @@ def test_held_operators_within_an_ulp_of_the_recurrence(cutoff_hz, order, bunch)
         assert got.shape == want.shape, name
         ulps = np.max(np.abs(got - want)) / np.spacing(np.float64(np.max(np.abs(want))))
         assert ulps <= 1.0, "%s: %.3g ulp" % (name, ulps)
+
+
+# The peak block's bar against the fixed-point recurrence, in float64 ulps
+# of max |O_u|. At bunches 7, 50 and 200 the kernel sat 1.70-3.41 ulps from
+# it at 20 Hz, 1.39-1.56 at 150 Hz and 0.57-0.58 at 1 kHz; the bar is 1.76x
+# the largest.
+_HELD_PEAK_ULPS = 6.0
+
+
+def held_peak_ulps(sos, bunch):
+    """How far the kernel's peak block O_u lies from ``held_peak_operator``'s, in ulps of its largest entry."""
+    want = held_peak_operator(sos, bunch, kernels.HOLD)
+    got = kernels._held_operators(kernels._key(sos), bunch)[0][4 * len(sos) :]  # below the 2S state rows
+    assert got.shape == want.shape
+    return float(np.max(np.abs(got - want)) / np.spacing(np.float64(np.max(np.abs(want)))))
+
+
+@pytest.mark.skipif(
+    not has_extended_precision,
+    reason="np.longdouble is float64 here, so there is no extended-precision reference",
+)
+@pytest.mark.parametrize("cutoff_hz, order", [(20.0, 4), (150.0, 4), (1000.0, 8)])
+@pytest.mark.parametrize("bunch", [7, 50, 200])
+def test_held_peak_block_within_the_fixed_point_recurrence(cutoff_hz, order, bunch):
+    sos = butterworth_lowpass(FilterSpec(cutoff_hz, 44100.0, order)).sections
+    ulps = held_peak_ulps(sos, bunch)
+    assert ulps <= _HELD_PEAK_ULPS, "O_u: %.3g ulp" % ulps
+
+
+@pytest.mark.skipif(
+    not has_extended_precision,
+    reason="np.longdouble is float64 here, so there is no extended-precision reference",
+)
+def test_a_wrong_output_row_fails_the_held_peak_gate(monkeypatch, fresh_operators):
+    # The oracle builds nothing from the package's system, so an output
+    # row C off by 1e-13 moves the kernel's O_u (by 970-1,765 ulps at
+    # bunches 7, 50 and 200) and not the oracle.
+    state_space = kernels._state_space
+
+    def wrong(sos):
+        a, b, c, *rest = state_space(sos)
+        return (a, b, c * (1 + 1e-13), *rest)
+
+    monkeypatch.setattr(kernels, "_state_space", wrong)
+    for cutoff_hz, order in [(20.0, 4), (150.0, 4), (1000.0, 8)]:
+        sos = butterworth_lowpass(FilterSpec(cutoff_hz, 44100.0, order)).sections
+        assert held_peak_ulps(sos, 50) > _HELD_PEAK_ULPS
 
 
 def test_carried_runs_cut_on_the_group_grid_reproduce_the_uncut_run(rng):
