@@ -11,6 +11,7 @@ numerator, leaving every a0 = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,12 +75,17 @@ _STABILITY_MARGIN = 1e-12
 _RESOLUTION = 1e-12
 
 
+@functools.lru_cache(maxsize=16)
 def butterworth_lowpass(spec: FilterSpec) -> FilterDesign:
     """Design a maximally flat low-pass filter for the given spec.
 
     DC gain is 1 (renormalized exactly after assembly) and the magnitude at
     the cutoff is 1/sqrt(2) by construction of the prewarped bilinear
     transform.
+
+    Each spec is designed once: equal specs, among the 16 used last, return
+    the same ``FilterDesign``, which is immutable. A spec that cannot be
+    realised raises on every call.
     """
     n = spec.order
     fs2 = 2.0 * spec.sample_rate_hz

@@ -102,10 +102,13 @@ def filtfilt_zero_phase(design: FilterDesign, s: Signal) -> Signal:
     x = s.samples
     pad = _pad_for(design, len(x))
     bunch = s._hold
-    if bunch is not None and bunch <= kernels.HOLD:
-        y = _held_zero_phase(design.sections, x[::bunch], np.empty(len(x)), bunch, pad)
-    else:
-        y = _zero_phase(design.sections, x, np.empty(len(x) + 2 * pad), pad)
+    # A pad or a product that overflows leaves an inf or NaN, which
+    # Signal._wrap turns into its ValueError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if bunch is not None and bunch <= kernels.HOLD:
+            y = _held_zero_phase(design.sections, x[::bunch], np.empty(len(x)), bunch, pad)
+        else:
+            y = _zero_phase(design.sections, x, np.empty(len(x) + 2 * pad), pad)
     return Signal._wrap(y, s.sample_rate)
 
 

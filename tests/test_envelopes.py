@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from oracles import assert_within_the_recurrence, has_extended_precision
@@ -325,6 +327,28 @@ class TestOverflow:
         with pytest.raises(ValueError, match="non-finite sample"):
             three_step_envelope(Signal(x, 44100.0))
 
+    @pytest.mark.parametrize(
+        "estimate, level",
+        [
+            (three_step_envelope, "sine"),
+            (lambda s: three_step_envelope(s, EnvelopeParams(300)), "sine"),
+            (lambda s: three_step_stages(s)[2], "sine"),
+            (envelope_follower, "constant"),
+            (envelope_rms, "sine"),
+            (envelope_hilbert, "sine"),
+        ],
+        ids=["three_step", "three_step-bunch300", "three_step_stages", "follower", "rms", "hilbert"],
+    )
+    def test_overflow_ends_in_the_value_error_alone(self, estimate, level):
+        # Under -W error a RuntimeWarning from the overflow itself would
+        # reach the caller instead of the documented ValueError.
+        t = np.arange(4410) / 44100.0
+        x = np.full(len(t), 1.7e308) if level == "constant" else 1.7e308 * np.sin(2.0 * np.pi * 1000.0 * t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite sample"):
+                estimate(Signal(x, 44100.0))
+
 
 class TestHilbert:
     def test_steady_sinusoid_flat(self):
@@ -356,9 +380,29 @@ class TestHilbert:
     @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 66150])
     def test_matches_scipy_hilbert(self, n, rng):
         x = rng.standard_normal(n)
+        for scale in (1.0, 1e-200, 1e200):  # squares of the scaled samples would under- and overflow
+            ours = envelope_hilbert(Signal(scale * x, 100.0)).envelope.samples
+            theirs = np.abs(sps.hilbert(scale * x))
+            np.testing.assert_allclose(ours, theirs, rtol=1e-9, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("j", [-600, -20, 20, 600])
+    @pytest.mark.parametrize("n", [1, 2, 257, 66150])
+    def test_power_of_two_scales_the_envelope_bit_for_bit(self, n, j, rng):
+        x = rng.standard_normal(n)
+        ours = envelope_hilbert(Signal(np.ldexp(x, j), 100.0)).envelope.samples
+        np.testing.assert_array_equal(ours, np.ldexp(envelope_hilbert(Signal(x, 100.0)).envelope.samples, j))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 66150])
+    def test_within_one_ulp_of_hypot(self, n, scale, rng):
+        x = scale * rng.standard_normal(n)
+        spectrum = np.fft.rfft(x) * -1j
+        spectrum[0] = 0.0
+        if n % 2 == 0:
+            spectrum[-1] = 0.0
+        exact = np.hypot(x, np.fft.irfft(spectrum, n))
         ours = envelope_hilbert(Signal(x, 100.0)).envelope.samples
-        theirs = np.abs(sps.hilbert(x))
-        np.testing.assert_allclose(ours, theirs, rtol=1e-9, atol=1e-12)
+        assert np.all(np.abs(ours - exact) <= np.spacing(exact))
 
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty input"):

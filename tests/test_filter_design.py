@@ -122,6 +122,12 @@ class TestButterworthDesign:
         design = butterworth_lowpass(FilterSpec(300.0, 44100.0, 4))
         np.testing.assert_allclose(design.sections[1:, :3], [[1.0, 2.0, 1.0]])
 
+    def test_an_equal_spec_returns_the_same_design(self):
+        design = butterworth_lowpass(FilterSpec(300.0, 44100.0, 4))
+        assert butterworth_lowpass(FilterSpec(300, 44100, 4)) is design
+        assert butterworth_lowpass(FilterSpec(300.0, 48000.0, 4)) is not design
+        assert not design.sections.flags.writeable
+
 
 class TestValidation:
     def test_cutoff_above_nyquist(self):
@@ -143,9 +149,11 @@ class TestValidation:
             FilterDesign(np.zeros((2, 4)), 4, 300.0, 44100.0)
 
     def test_pole_on_the_unit_circle_rejected(self):
-        # At 1e-9 Hz the poles round to within _STABILITY_MARGIN of radius 1.
-        with pytest.raises(ValueError, match="unstable filter design: pole radius"):
-            butterworth_lowpass(FilterSpec(1e-9, 44100.0, 4))
+        # At 1e-9 Hz the poles round to within _STABILITY_MARGIN of radius 1,
+        # on every call: an error is never cached.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unstable filter design: pole radius"):
+                butterworth_lowpass(FilterSpec(1e-9, 44100.0, 4))
 
     def test_frequency_out_of_band(self):
         design = butterworth_lowpass(FilterSpec(300.0, 44100.0, 4))
